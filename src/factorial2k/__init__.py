@@ -42,7 +42,6 @@ from .estimation import (
     MomentEstimates,
     effect_estimates,
     moment_estimates,
-    treatment_based_fit,
 )
 from .regression import (
     DesignMatrix,
@@ -55,6 +54,7 @@ from .regression import (
     omitted_algebra,
     saturated_fit,
     saturated_spec,
+    treatment_based_fit,
     unsaturated_fit,
     verify_omitted_relation,
     wls_fit,

@@ -2,7 +2,8 @@
 
 Output is JSON-first; every run embeds its configuration, seed, and the
 package version for reproducibility.  Exit codes: 0 ok, 1 validation
-error, 2 numerical failure, 3 identity/verification failure.
+error (including an unreadable input or unwritable output file), 2
+numerical failure, 3 identity/verification failure.
 """
 
 import argparse
@@ -23,7 +24,13 @@ from .errors import (
     TooManyAssignmentsError,
 )
 from .estimation import effect_estimates
-from .regression import ModelSpec, saturated_fit, saturated_spec, unsaturated_fit, verify_omitted_relation
+from .regression import (
+    IDENTITY_RTOL,
+    ModelSpec,
+    saturated_fit,
+    unsaturated_fit,
+    verify_omitted_relation,
+)
 from .simulate import (
     DesignSizes,
     ENUMERATION_GUARD,
@@ -32,8 +39,6 @@ from .simulate import (
     make_constant_effects_population,
     make_no_three_way_population,
     monte_carlo,
-    observe,
-    draw_assignment,
     replicate_rng,
 )
 from .verify import run_identity_suite, suite_passed
@@ -106,38 +111,28 @@ def cmd_analyze(args):
         "delta": delta.tolist(),
     }
 
+    model = None
     if args.model:
         terms = tuple(parse_subset_label(t, spec) for t in args.model.split(","))
         model = ModelSpec(delta, terms)
-        if model.saturated:
-            fit, verification = saturated_fit(data, delta)
-            payload["regression"] = fit.to_dict(spec)
-            payload["verification"] = {
-                "identity": "saturated vs moment",
-                "max_rel_err": max(
-                    verification["coef_rel_err"], verification["cov_rel_err"] or 0.0
-                ),
-                "pass": True,
-            }
-        else:
-            fit = unsaturated_fit(data, model)
-            payload["regression"] = fit.to_dict(spec)
-            rel = verify_omitted_relation(data, model)
-            payload["verification"] = {
-                "identity": "unsaturated = saturated + correction",
-                "max_rel_err": rel["relation_rel_err"],
-                "correction_magnitude": float(np.abs(rel["correction"]).max()),
-                "pass": bool(rel["pass"]),
-            }
-    else:
+    if model is None or model.saturated:
         fit, verification = saturated_fit(data, delta)
+        max_rel_err = max(verification["coef_rel_err"], verification["cov_rel_err"] or 0.0)
         payload["regression"] = fit.to_dict(spec)
         payload["verification"] = {
             "identity": "saturated vs moment",
-            "max_rel_err": max(
-                verification["coef_rel_err"], verification["cov_rel_err"] or 0.0
-            ),
-            "pass": True,
+            "max_rel_err": max_rel_err,
+            "pass": max_rel_err <= IDENTITY_RTOL,
+        }
+    else:
+        fit = unsaturated_fit(data, model)
+        payload["regression"] = fit.to_dict(spec)
+        rel = verify_omitted_relation(data, model)
+        payload["verification"] = {
+            "identity": "unsaturated = saturated + correction",
+            "max_rel_err": rel["relation_rel_err"],
+            "correction_magnitude": float(np.abs(rel["correction"]).max()),
+            "pass": bool(rel["pass"]),
         }
 
     _emit(payload, args.out)
@@ -154,7 +149,6 @@ def _load_population(args, sizes):
         K = int(round(np.log2(sizes.Q)))
         return make_no_three_way_population(sizes.N, K, args.seed)
     if args.population == "heterogeneous":
-        K = int(round(np.log2(sizes.Q)))
         return PotentialOutcomeTable(rng.normal(0.0, 1.0, size=(sizes.N, sizes.Q)))
     if os.path.exists(args.population):
         return PotentialOutcomeTable.from_csv(args.population)
@@ -276,7 +270,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError, TooManyAssignmentsError) as exc:
+    except (ParseError, ValueError, TooManyAssignmentsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except IdentityViolationError as exc:

@@ -1,18 +1,20 @@
 """Conditional factorial effects and the general-effect contrast matrix.
 
-The contrast row for a factor subset S conditional on the levels of the
-remaining factors is built by the textbook induction: the m-way effect is
-the difference of two (m-1)-way effects at levels 1 and 0 of the added
-factor.  A closed form exists (the coefficient on a matching cell is
-(-1)^(|S| - sum of the subset levels)) and is kept alongside as a
-cross-check.
+Every effect is a linear map of the cell means with the closed form
+
+    G[S, z] = (-1)^(|S| - |z_S|) * w(z_{-S}),
+
+where ``w`` weighs the levels of the factors outside S (Dasgupta, Pillai &
+Rubin 2015).  A general effect takes ``w`` from the scheme's marginal law of
+those factors; a conditional effect puts a point mass on their fixed levels.
+One kernel evaluates the formula for both.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_FACTORS, cell_index, enumerate_subsets, enumerate_treatments
+from .core import MAX_FACTORS, cell_index, enumerate_subsets
 from .errors import DimensionMismatchError
 
 
@@ -21,21 +23,29 @@ def _check_K(K):
         raise DimensionMismatchError(f"K must be in 1..{MAX_FACTORS}, got {K}")
 
 
-def _row_recursive(subset, rest_levels, K):
-    if len(subset) == 1:
-        k = subset[0]
-        row = np.zeros(2 ** K)
-        for level, sign in ((1, 1.0), (0, -1.0)):
-            z = [0] * K
-            for j, lev in rest_levels.items():
-                z[j] = lev
-            z[k] = level
-            row[cell_index(z)] += sign
-        return row
-    k = subset[-1]
-    high = _row_recursive(subset[:-1], {**rest_levels, k: 1}, K)
-    low = _row_recursive(subset[:-1], {**rest_levels, k: 0}, K)
-    return high - low
+def _sign_formula(subsets, weights, K):
+    """Rows (-1)^(|S| - |z_S|) * w_S(z_{-S}) over every cell z, one per subset S.
+
+    ``weights[i]`` is indexed by the levels of the factors outside
+    ``subsets[i]`` in binary-counting order.
+    """
+    levels = (np.arange(2 ** K)[:, None] >> np.arange(K - 1, -1, -1)) & 1
+    inside = np.zeros((len(subsets), K), dtype=np.int64)
+    for i, subset in enumerate(subsets):
+        inside[i, list(subset)] = 1
+    outside = 1 - inside
+    # place value of an outside factor among the outside factors, last fastest
+    after = np.cumsum(outside[:, ::-1], axis=1)[:, ::-1] - outside
+    rest_index = (outside << after) @ levels.T
+    offsets = np.cumsum([0] + [w.size for w in weights[:-1]])
+    odd = (inside.sum(axis=1)[:, None] - inside @ levels.T) % 2
+    return np.where(odd, -1.0, 1.0) * np.concatenate(weights)[offsets[:, None] + rest_index]
+
+
+def _complement_weights(subset, scheme):
+    complement = tuple(k for k in range(scheme.K) if k not in subset)
+    # with nothing outside the subset the weight is exactly one, not a sum
+    return scheme.marginal(complement) if complement else np.ones(1)
 
 
 def conditional_effect_row(subset, rest, K):
@@ -48,29 +58,16 @@ def conditional_effect_row(subset, rest, K):
     subset = tuple(sorted(subset))
     if not subset:
         raise DimensionMismatchError("subset must be nonempty")
-    complement = [k for k in range(K) if k not in subset]
     rest = tuple(rest)
-    if len(rest) != len(complement):
+    if len(rest) != K - len(subset):
         raise DimensionMismatchError(
-            f"expected {len(complement)} fixed levels, got {len(rest)}"
+            f"expected {K - len(subset)} fixed levels, got {len(rest)}"
         )
-    rest_levels = dict(zip(complement, rest))
-    return _row_recursive(subset, rest_levels, K)
-
-
-def conditional_effect_row_closed_form(subset, rest, K):
-    """Sign-formula version of :func:`conditional_effect_row`."""
-    _check_K(K)
-    subset = tuple(sorted(subset))
-    complement = [k for k in range(K) if k not in subset]
-    rest_levels = dict(zip(complement, tuple(rest)))
-    row = np.zeros(2 ** K)
-    for z in enumerate_treatments(K):
-        if any(z[j] != rest_levels[j] for j in complement):
-            continue
-        ones = sum(z[k] for k in subset)
-        row[cell_index(z)] = (-1.0) ** (len(subset) - ones)
-    return row
+    if not set(rest) <= {0, 1}:
+        raise ValueError(f"fixed levels must be 0/1, got {rest}")
+    point_mass = np.zeros(2 ** len(rest))
+    point_mass[cell_index(rest)] = 1.0
+    return _sign_formula([subset], [point_mass], K)[0]
 
 
 def general_effect_row(subset, scheme, K):
@@ -83,16 +80,7 @@ def general_effect_row(subset, scheme, K):
     if scheme.K != K:
         raise DimensionMismatchError("scheme and K disagree")
     subset = tuple(sorted(subset))
-    complement = [k for k in range(K) if k not in subset]
-    if not complement:
-        return conditional_effect_row(subset, (), K)
-    weights = scheme.marginal(tuple(complement))
-    row = np.zeros(2 ** K)
-    for idx, rest in enumerate(enumerate_treatments(len(complement))):
-        if weights[idx] == 0.0:
-            continue
-        row += weights[idx] * conditional_effect_row(subset, rest, K)
-    return row
+    return _sign_formula([subset], [_complement_weights(subset, scheme)], K)[0]
 
 
 @dataclass(frozen=True)
@@ -104,15 +92,15 @@ class ContrastMatrix:
     subsets: tuple
     scheme: object
 
-    def row_for(self, subset):
-        return self.matrix[self.subsets.index(tuple(sorted(subset)))]
-
 
 def contrast_matrix(scheme, K):
     """Stack general-effect rows over the canonical subset order."""
     _check_K(K)
+    if scheme.K != K:
+        raise DimensionMismatchError("scheme and K disagree")
     subsets = tuple(enumerate_subsets(K))
-    rows = np.vstack([general_effect_row(s, scheme, K) for s in subsets])
+    weights = [_complement_weights(s, scheme) for s in subsets]
+    rows = _sign_formula(subsets, weights, K)
     return ContrastMatrix(K, rows, subsets, scheme)
 
 
@@ -123,13 +111,3 @@ def true_effects(means, scheme):
     if ybar.shape != (2 ** K,):
         raise DimensionMismatchError(f"expected {2 ** K} cell means")
     return contrast_matrix(scheme, K).matrix @ ybar
-
-
-def contrast_matrix_csv(cm, spec):
-    """Render a contrast matrix as CSV text with subset labels as row names."""
-    cells = enumerate_treatments(cm.K)
-    header = "term," + ",".join("".join(map(str, z)) for z in cells)
-    lines = [header]
-    for subset, row in zip(cm.subsets, cm.matrix):
-        lines.append(spec.subset_label(subset) + "," + ",".join(repr(v) for v in row))
-    return "\n".join(lines) + "\n"

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from dataclasses import dataclass, field
 from itertools import combinations, product
 import csv
+import math
 
 import numpy as np
 
@@ -131,8 +132,8 @@ class CellSummary:
 
     spec: FactorSpec
     counts: np.ndarray  # (Q,)
-    means: np.ndarray  # (Q,), nan where count == 0
-    variances: np.ndarray | None  # (Q,), nan where count < 2
+    means: np.ndarray  # (Q,)
+    variances: np.ndarray  # (Q,), nan where count < 2
 
     @property
     def N(self):
@@ -143,30 +144,25 @@ class CellSummary:
         return self.counts / self.N
 
 
-def cell_summary(data, variances=True, allow_empty=False):
-    """Counts, means, and (optionally) within-cell variances per cell.
+def cell_summary(data, variances=True):
+    """Counts, means, and within-cell variances per cell.
 
-    Raises EmptyCellError when a cell has no units unless ``allow_empty``
-    is set, and SingletonCellError when variances are requested for a cell
-    with a single unit.
+    Raises EmptyCellError when a cell has no units.  A cell with a single
+    unit has a NaN variance, or raises SingletonCellError when
+    ``variances`` are required.
     """
     Q = data.spec.Q
-    counts = np.bincount(data.cell, minlength=Q).astype(np.int64)
-    if not allow_empty and (counts == 0).any():
-        empty = [i for i in range(Q) if counts[i] == 0]
-        raise EmptyCellError(f"cells with no units: {empty}")
-    means = np.full(Q, np.nan)
-    var = np.full(Q, np.nan)
-    for q in range(Q):
-        if counts[q] == 0:
-            continue
-        y = data.outcome[data.cell == q]
-        means[q] = y.mean()
-        if counts[q] >= 2:
-            var[q] = y.var(ddof=1)
-        elif variances and not allow_empty:
-            raise SingletonCellError(f"cell {q} has a single unit")
-    return CellSummary(data.spec, counts, means, var if variances else None)
+    counts = np.bincount(data.cell, minlength=Q)
+    if (counts == 0).any():
+        raise EmptyCellError(f"cells with no units: {np.flatnonzero(counts == 0).tolist()}")
+    if variances and (counts < 2).any():
+        raise SingletonCellError(f"cell {np.flatnonzero(counts < 2)[0]} has a single unit")
+    means = np.bincount(data.cell, weights=data.outcome, minlength=Q) / counts
+    deviation = data.outcome - means[data.cell]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var = np.bincount(data.cell, weights=deviation ** 2, minlength=Q) / (counts - 1)
+    var[counts < 2] = np.nan
+    return CellSummary(data.spec, counts, means, var)
 
 
 def ingest_csv(path, spec, outcome_col="Y"):
@@ -198,6 +194,8 @@ def ingest_csv(path, spec, outcome_col="Y"):
                 raise ParseError(
                     f"line {lineno}: non-numeric outcome {row[outcome_col]!r}"
                 )
+            if not math.isfinite(y):
+                raise ParseError(f"line {lineno}: non-finite outcome {row[outcome_col]!r}")
             levels.append(z)
             outcomes.append(y)
     if not levels:

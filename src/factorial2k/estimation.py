@@ -12,8 +12,7 @@ import numpy as np
 from scipy import stats
 
 from .contrasts import contrast_matrix
-from .core import cell_summary, enumerate_subsets
-from .errors import IdentityViolationError
+from .core import cell_summary
 
 RANK_RTOL = 1e-10
 
@@ -25,10 +24,6 @@ class MomentEstimates:
     y_hat: np.ndarray  # (Q,)
     v_hat: np.ndarray  # (Q,) diagonal entries Shat(z,z)/N_z
     counts: np.ndarray  # (Q,)
-
-    @property
-    def v_hat_matrix(self):
-        return np.diag(self.v_hat)
 
 
 def moment_estimates(data):
@@ -118,38 +113,9 @@ class InferenceReport:
 def effect_estimates(data, scheme, alpha=0.05):
     """Moment estimator of the general effects with Wald-type inference."""
     est = moment_estimates(data)
-    K = data.spec.K
-    G = contrast_matrix(scheme, K).matrix
+    cm = contrast_matrix(scheme, data.spec.K)
+    G = cm.matrix
     tau = G @ est.y_hat
     cov = (G * est.v_hat) @ G.T
-    subsets = tuple(enumerate_subsets(K))
-    labels = tuple(data.spec.subset_label(s) for s in subsets)
-    return InferenceReport(subsets, labels, tau, cov, alpha)
-
-
-def treatment_based_fit(data, check_tol=1e-8):
-    """OLS of Y on the Q cell indicators without intercept, with HC0.
-
-    Numerically this reproduces the moment route: the coefficients equal
-    the cell means and the HC0 covariance equals diag(1 - 1/N_z) Vhat.
-    Both identities are asserted; a violation signals an implementation
-    bug.
-    """
-    est = moment_estimates(data)
-    Q = data.spec.Q
-    X = np.zeros((data.N, Q))
-    X[np.arange(data.N), data.cell] = 1.0
-    beta, *_ = np.linalg.lstsq(X, data.outcome, rcond=None)
-    resid = data.outcome - X @ beta
-    xtx_inv = np.diag(1.0 / est.counts.astype(np.float64))
-    meat = X.T @ (X * (resid ** 2)[:, None])
-    v0 = xtx_inv @ meat @ xtx_inv
-
-    expected_v0 = np.diag((1.0 - 1.0 / est.counts) * est.v_hat)
-    scale = max(np.abs(est.y_hat).max(), 1.0)
-    if np.abs(beta - est.y_hat).max() > check_tol * scale:
-        raise IdentityViolationError("treatment-based coefficients != cell means")
-    vscale = max(np.abs(expected_v0).max(), 1e-12)
-    if np.abs(v0 - expected_v0).max() > check_tol * vscale:
-        raise IdentityViolationError("treatment-based HC0 != diag(1-1/N_z) Vhat")
-    return beta, v0
+    labels = tuple(data.spec.subset_label(s) for s in cm.subsets)
+    return InferenceReport(cm.subsets, labels, tau, cov, alpha)

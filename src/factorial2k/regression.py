@@ -16,10 +16,9 @@ from scipy import linalg
 from .contrasts import contrast_matrix
 from .core import cell_summary, enumerate_subsets
 from .errors import IdentityViolationError, RankDeficientError
-from .estimation import moment_estimates
+from .estimation import RANK_RTOL, moment_estimates
 from .weighting import ShiftVector, product_scheme
 
-RANK_RTOL = 1e-10
 IDENTITY_RTOL = 1e-8
 IDENTITY_ATOL = 1e-12
 
@@ -190,6 +189,26 @@ def ols_fit(X, y, terms=()):
     return FitResult(tuple(terms), beta, resid, _hc0(X, resid, gram_inv), gram_inv)
 
 
+def treatment_based_fit(data, check_tol=1e-8):
+    """OLS of Y on the Q cell indicators without intercept, with HC0.
+
+    Numerically this reproduces the moment route: the coefficients equal
+    the cell means and the HC0 covariance equals diag(1 - 1/N_z) Vhat.
+    Both identities are asserted; a violation signals an implementation
+    bug.  Returns (coefficients, HC0 covariance).
+    """
+    est = moment_estimates(data)
+    X = np.zeros((data.N, data.spec.Q))
+    X[np.arange(data.N), data.cell] = 1.0
+    fit = ols_fit(X, data.outcome)
+    if rel_err(fit.coefficients, est.y_hat) > check_tol:
+        raise IdentityViolationError("treatment-based coefficients != cell means")
+    expected_v0 = np.diag((1.0 - 1.0 / est.counts) * est.v_hat)
+    if rel_err(fit.robust_cov, expected_v0) > check_tol:
+        raise IdentityViolationError("treatment-based HC0 != diag(1-1/N_z) Vhat")
+    return fit.coefficients, fit.robust_cov
+
+
 def saturated_fit(data, delta, check=True):
     """Saturated location-shifted fit, verified against the moment route.
 
@@ -207,22 +226,14 @@ def saturated_fit(data, delta, check=True):
         return fit, verification
 
     G = contrast_matrix(product_scheme(spec.delta), spec.K).matrix
-    counts = cell_summary(data, variances=False).counts
-    if (counts >= 2).all():
-        est = moment_estimates(data)
-        tau = G @ est.y_hat
-        psi = (G * est.v_hat) @ G.T - (G * (est.v_hat / counts)) @ G.T
-        verification["coef_rel_err"] = rel_err(fit.coef_noint, tau)
+    summary = cell_summary(data, variances=False)
+    verification["coef_rel_err"] = rel_err(fit.coef_noint, G @ summary.means)
+    ok = verification["coef_rel_err"] <= IDENTITY_RTOL
+    if (summary.counts >= 2).all():
+        v_hat = summary.variances / summary.counts
+        psi = (G * v_hat) @ G.T - (G * (v_hat / summary.counts)) @ G.T
         verification["cov_rel_err"] = rel_err(fit.robust_cov_noint, psi)
-        ok = (
-            verification["coef_rel_err"] <= IDENTITY_RTOL
-            and verification["cov_rel_err"] <= IDENTITY_RTOL
-        )
-    else:
-        means = cell_summary(data, variances=False).means
-        tau = G @ means
-        verification["coef_rel_err"] = rel_err(fit.coef_noint, tau)
-        ok = verification["coef_rel_err"] <= IDENTITY_RTOL
+        ok = ok and verification["cov_rel_err"] <= IDENTITY_RTOL
     if not ok:
         raise IdentityViolationError(
             f"saturated-fit identities violated: {verification}"
@@ -243,8 +254,6 @@ def wls_fit(data, spec):
     squared residuals.
     """
     counts = np.bincount(data.cell, minlength=data.spec.Q)
-    if (counts[np.unique(data.cell)] < 1).any():
-        raise RankDeficientError("empty cell")
     w = 1.0 / counts[data.cell].astype(np.float64)
     design = build_design(data, spec)
     X = design.included
@@ -270,12 +279,11 @@ class OmittedTermAlgebra:
     d: np.ndarray  # #included x #omitted
 
 
-def omitted_algebra(design, check=True):
+def omitted_algebra(design):
     """Phi, the residual matrix, and D for a given design.
 
-    With ``check``, re-derives Phi after duplicating every unit and asserts
-    it is unchanged: Phi is a deterministic function of the cell
-    proportions alone.
+    Phi is a deterministic function of the cell proportions alone, so it is
+    unchanged when every unit is duplicated.
     """
     if design.omitted.shape[1] == 0:
         raise ValueError("model is saturated; nothing is omitted")
@@ -284,12 +292,6 @@ def omitted_algebra(design, check=True):
     resid = design.omitted - design.included @ phi
     # residual columns must carry independent variation for the exact criterion
     _qr_solve(resid)
-    if check:
-        solve2, _ = _qr_solve(np.vstack([design.included] * 2))
-        doubled = np.vstack([design.omitted] * 2)
-        phi2 = np.column_stack([solve2(col) for col in doubled.T])
-        if rel_err(phi2, phi) > IDENTITY_RTOL:
-            raise IdentityViolationError("Phi changed under unit duplication")
     return OmittedTermAlgebra(phi, resid, phi[1:, :])
 
 
@@ -304,7 +306,7 @@ def verify_omitted_relation(data, spec):
     design = build_design(data, spec)
     sat_fit, _ = saturated_fit(data, spec.delta, check=False)
     uns_fit = ols_fit(design.included, data.outcome, spec.terms)
-    algebra = omitted_algebra(design, check=False)
+    algebra = omitted_algebra(design)
 
     all_terms = enumerate_subsets(spec.K)
     plus_idx = [all_terms.index(t) for t in design.included_terms]
@@ -340,11 +342,12 @@ def verify_omitted_relation(data, spec):
 def effective_additive_weights(proportions):
     """Weighting vectors targeted by the additive fit in a 2x2 experiment.
 
-    Returns (weights over factor-1 levels used for the factor-2 effect is
-    not involved) -- concretely, a pair ``(pi_first, pi_second)`` where
-    ``pi_second`` weights the conditional effects of the first factor at
-    the two levels of the second, and vice versa.  Determined entirely by
-    the cell proportions e_z, independent of the location shifts.
+    Returns ``(pi_first, pi_second)``.  The additive coefficient of the
+    first factor is ``pi_second`` applied to its conditional effects at the
+    two levels of the second factor; the coefficient of the second factor
+    is ``pi_first`` applied to its conditional effects at the two levels of
+    the first.  Both depend only on the cell proportions e_z, not on the
+    location shifts.
     """
     e = np.asarray(proportions, dtype=np.float64)
     if e.shape != (4,):

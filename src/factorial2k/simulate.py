@@ -15,13 +15,12 @@ import numpy as np
 from scipy import stats
 
 from .contrasts import contrast_matrix
-from .core import AssignmentTable, cell_summary, default_spec, enumerate_subsets, enumerate_treatments
+from .core import AssignmentTable, default_spec, enumerate_subsets, enumerate_treatments
 from .errors import (
     EstimatorFailureError,
     Factorial2kError,
     TooManyAssignmentsError,
 )
-from .estimation import moment_estimates
 from .regression import build_design, omitted_algebra, ols_fit, saturated_spec
 from .weighting import product_scheme
 
@@ -156,8 +155,7 @@ def exact_expectations(table, sizes, estimator, spec=None):
     spec = spec or default_spec(table.K)
     total = 0
     failures = 0
-    acc = None
-    acc_sq = None
+    origin = None
     for cells in enumerate_assignments(sizes):
         total += 1
         try:
@@ -165,18 +163,21 @@ def exact_expectations(table, sizes, estimator, spec=None):
         except Factorial2kError:
             failures += 1
             continue
-        if acc is None:
+        if origin is None:
+            # sums of deviations from one attained value keep the covariance
+            # exact when the outcomes carry a large common offset
+            origin = value
             acc = np.zeros_like(value)
             acc_sq = np.zeros((value.size, value.size))
-        acc += value
-        acc_sq += np.outer(value, value)
+        dev = value - origin
+        acc += dev
+        acc_sq += np.outer(dev, dev)
     if failures:
         raise EstimatorFailureError(
             f"estimator failed on {failures} of {total} assignments", failures
         )
-    mean = acc / total
-    cov = acc_sq / total - np.outer(mean, mean)
-    return mean, cov
+    shift = acc / total
+    return origin + shift, acc_sq / total - np.outer(shift, shift)
 
 
 @dataclass(frozen=True)
@@ -351,7 +352,7 @@ def unsaturated_moment_map(data_or_design, spec):
         if hasattr(data_or_design, "included")
         else build_design(data_or_design, spec)
     )
-    d = omitted_algebra(design, check=False).d
+    d = omitted_algebra(design).d
     all_terms = enumerate_subsets(spec.K)
     J = np.zeros((len(spec.terms), len(all_terms)))
     for i, t in enumerate(design.included_terms):
@@ -404,20 +405,3 @@ def compare_saturated_unsaturated(table, sizes, spec):
         "min_eig_difference": float(eigs.min()),
         "psd_ordering": bool(eigs.min() >= -1e-9),
     }
-
-
-def search_ordering_counterexample(K, sizes, spec, trials, seed):
-    """Random search for a population breaking the covariance ordering.
-
-    The ordering cov(unsaturated) <= cov(saturated) requires constant
-    treatment effects; with heterogeneous effects it can fail.  Returns the
-    first (trial_seed, report) found, or None.
-    """
-    for t in range(trials):
-        trial_seed = int(np.random.SeedSequence((seed, t)).generate_state(1)[0])
-        table = make_no_three_way_population(sizes.N, K, trial_seed, noise_scale=0.1)
-        table = add_three_way_term(table, tuple(range(min(3, K))), 3.0)
-        report = compare_saturated_unsaturated(table, sizes, spec)
-        if not report["psd_ordering"]:
-            return trial_seed, report
-    return None

@@ -156,7 +156,7 @@ def test_criterion_4_omitted_term_algebra():
         data = random_dataset(3, rng)
         delta = rng.uniform(0.0, 1.0, 3)
         design = build_design(data, ModelSpec(delta, two_way_terms))
-        d = omitted_algebra(design, check=False).d.ravel()
+        d = omitted_algebra(design).d.ravel()
         props = np.bincount(data.cell, minlength=8) / data.N
         worst_closed = max(
             worst_closed, rel_err(d, closed_form_two_way_omitted_map(props, delta))

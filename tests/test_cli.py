@@ -112,6 +112,29 @@ def test_analyze_bad_delta_length(csv_2x2, tmp_path):
     assert code == EXIT_VALIDATION
 
 
+def test_analyze_missing_input_file(tmp_path, capsys):
+    code, _ = run_cli(
+        ["analyze", "--input", str(tmp_path / "absent.csv"), "--factors", "A,B"],
+        tmp_path,
+    )
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_analyze_unwritable_out(csv_2x2, tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "out.json"
+    code = main(["analyze", "--input", csv_2x2, "--factors", "A,B", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_analyze_non_finite_outcome(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("A,B,Y\n0,0,1\n0,0,2\n0,1,3\n0,1,nan\n1,0,5\n1,0,6\n1,1,7\n1,1,8\n")
+    code, _ = run_cli(["analyze", "--input", str(path), "--factors", "A,B"], tmp_path)
+    assert code == EXIT_VALIDATION
+    assert "line 5" in capsys.readouterr().err
+
 def test_resolve_scheme_product():
     s = resolve_scheme("product:0.3,0.6", None, 2)
     np.testing.assert_allclose(s.joint, product_scheme([0.3, 0.6]).joint)

@@ -12,13 +12,51 @@ from factorial2k import (
     pi_cross,
     true_effects,
 )
-from factorial2k.contrasts import (
-    conditional_effect_row_closed_form,
-    contrast_matrix_csv,
-)
-from factorial2k.core import default_spec
+from factorial2k.core import cell_index
 from factorial2k.errors import DimensionMismatchError
 from factorial2k.simulate import make_no_three_way_population, add_three_way_term
+from factorial2k.weighting import product_scheme
+
+
+def _row_recursive(subset, rest_levels, K):
+    """Reference oracle: the m-way effect is the difference of two (m-1)-way
+    effects at levels 1 and 0 of the added factor."""
+    if len(subset) == 1:
+        k = subset[0]
+        row = np.zeros(2 ** K)
+        for level, sign in ((1, 1.0), (0, -1.0)):
+            z = [0] * K
+            for j, lev in rest_levels.items():
+                z[j] = lev
+            z[k] = level
+            row[cell_index(z)] += sign
+        return row
+    k = subset[-1]
+    high = _row_recursive(subset[:-1], {**rest_levels, k: 1}, K)
+    low = _row_recursive(subset[:-1], {**rest_levels, k: 0}, K)
+    return high - low
+
+
+def _recursive_conditional_row(subset, rest, K):
+    complement = [k for k in range(K) if k not in subset]
+    return _row_recursive(tuple(subset), dict(zip(complement, rest)), K)
+
+
+def _recursive_contrast_matrix(scheme, K):
+    """Weighted average of recursive conditional rows, skipping zero weights."""
+    rows = []
+    for subset in enumerate_subsets(K):
+        complement = tuple(k for k in range(K) if k not in subset)
+        if not complement:
+            rows.append(_recursive_conditional_row(subset, (), K))
+            continue
+        weights = scheme.marginal(complement)
+        row = np.zeros(2 ** K)
+        for idx, rest in enumerate(enumerate_treatments(len(complement))):
+            if weights[idx] != 0.0:
+                row += weights[idx] * _recursive_conditional_row(subset, rest, K)
+        rows.append(row)
+    return np.vstack(rows)
 
 
 def test_conditional_main_effect_2x2():
@@ -64,8 +102,25 @@ def test_recursion_matches_closed_form_exhaustively(K):
     for subset in enumerate_subsets(K):
         for rest in enumerate_treatments(K - len(subset)) if len(subset) < K else [()]:
             got = conditional_effect_row(subset, rest, K)
-            expected = conditional_effect_row_closed_form(subset, rest, K)
-            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(got, _recursive_conditional_row(subset, rest, K))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6])
+def test_contrast_matrix_equals_recursive_oracle(K):
+    rng = np.random.default_rng(100 + K)
+    point_mass = np.zeros(2 ** K)
+    point_mass[rng.integers(2 ** K)] = 1.0
+    schemes = [
+        from_joint(rng.dirichlet(np.ones(2 ** K))),
+        equal_scheme(K),
+        product_scheme(rng.uniform(0, 1, K)),
+        from_joint(point_mass),
+    ]
+    for scheme in schemes:
+        got = contrast_matrix(scheme, K).matrix
+        np.testing.assert_array_equal(got, _recursive_contrast_matrix(scheme, K))
+        for subset, row in zip(enumerate_subsets(K), got):
+            np.testing.assert_array_equal(general_effect_row(subset, scheme, K), row)
 
 
 def test_conditional_row_validation():
@@ -73,6 +128,8 @@ def test_conditional_row_validation():
         conditional_effect_row((0,), (), 2)
     with pytest.raises(DimensionMismatchError):
         conditional_effect_row((), (0, 1), 2)
+    with pytest.raises(ValueError):
+        conditional_effect_row((0,), (0, 2), 3)
 
 
 def test_general_effect_row_2x2_weights():
@@ -207,11 +264,3 @@ def test_three_way_term_breaks_equivalence():
             broken = True
             break
     assert broken
-
-
-def test_contrast_matrix_csv_export():
-    text = contrast_matrix_csv(contrast_matrix(equal_scheme(2), 2), default_spec(2))
-    lines = text.strip().split("\n")
-    assert lines[0] == "term,00,01,10,11"
-    assert lines[1].startswith("A,")
-    assert lines[3].startswith("A:B,")

@@ -120,3 +120,27 @@ def test_ingest_csv_nonnumeric_outcome(tmp_path):
     path.write_text("A,B,Y\n0,0,oops\n")
     with pytest.raises(ParseError):
         ingest_csv(path, default_spec(2))
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
+def test_ingest_csv_non_finite_outcome(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_text(f"A,B,Y\n0,0,1.0\n0,1,{text}\n")
+    with pytest.raises(ParseError, match="line 3"):
+        ingest_csv(path, default_spec(2))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+def test_cell_summary_matches_mask_loop(offset):
+    # reference: one boolean mask per cell, as numpy's mean and var compute it
+    rng = np.random.default_rng(5)
+    spec = default_spec(3)
+    cells = rng.permutation(np.repeat(np.arange(8), rng.integers(2, 9, size=8)))
+    levels = (cells[:, None] >> np.arange(2, -1, -1)) & 1
+    data = AssignmentTable(spec, levels, offset + rng.normal(0.0, 3.0, cells.size))
+    s = cell_summary(data)
+    for q in range(8):
+        y = data.outcome[data.cell == q]
+        assert s.counts[q] == y.size
+        assert abs(s.means[q] - y.mean()) <= 1e-14 * abs(y.mean()) + 1e-14
+        assert abs(s.variances[q] - y.var(ddof=1)) <= 1e-12 * y.var(ddof=1)

@@ -163,9 +163,12 @@ def test_omitted_algebra_duplication_invariance():
     rng = np.random.default_rng(47)
     data = random_dataset(3, rng)
     spec = ModelSpec(rng.uniform(0, 1, 3), ((0,), (1,), (2,), (0, 1)))
-    design = build_design(data, spec)
-    # check=True recomputes Phi after duplicating every unit
-    omitted_algebra(design, check=True)
+    # Phi depends on the cell proportions alone: duplicating every unit keeps it
+    doubled = AssignmentTable(
+        data.spec, np.vstack([data.assignment] * 2), np.tile(data.outcome, 2)
+    )
+    phi = omitted_algebra(build_design(data, spec)).phi
+    assert rel_err(omitted_algebra(build_design(doubled, spec)).phi, phi) <= 1e-8
 
 
 def test_two_way_closed_form_map():
@@ -174,7 +177,7 @@ def test_two_way_closed_form_map():
         data = random_dataset(3, rng)
         delta = rng.uniform(0, 1, 3)
         spec = ModelSpec(delta, tuple(t for t in enumerate_subsets(3) if len(t) <= 2))
-        algebra = omitted_algebra(build_design(data, spec), check=False)
+        algebra = omitted_algebra(build_design(data, spec))
         e = np.bincount(data.cell, minlength=8) / data.N
         expected = closed_form_two_way_omitted_map(e, delta)
         assert rel_err(algebra.d.ravel(), expected) <= 1e-8

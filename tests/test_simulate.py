@@ -96,6 +96,17 @@ def test_exact_mean_and_cov_of_cell_means(small_population):
     )
 
 
+@pytest.mark.parametrize("offset, tol", [(1e4, 1e-10), (1e6, 1e-10), (1e8, 1e-8)])
+def test_exact_cov_of_cell_means_under_offset(offset, tol):
+    # the criterion-6 population shifted by a large common offset
+    rng = np.random.default_rng(601)
+    table = PotentialOutcomeTable(offset + rng.normal(0.0, 1.0, size=(8, 4)))
+    _, cov = exact_expectations(
+        table, SIZES_2222, lambda d: cell_summary(d, variances=False).means
+    )
+    truth = truth_covariance_of_cell_means(table, SIZES_2222)
+    assert np.abs(cov - truth).max() <= tol * np.abs(truth).max()
+
 def test_vhat_conservative_identity(small_population):
     table = small_population
 
