@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import EmptyCellError, ParseError, SingletonCellError
 
-MAX_FACTORS = 16
+# the dense (2^K - 1) x 2^K contrast matrix takes 128 MiB at K=12 and 32 GiB at K=16
+MAX_FACTORS = 12
 
 
 @dataclass(frozen=True)
@@ -52,12 +53,8 @@ class FactorSpec:
 
 
 def default_spec(K):
-    """FactorSpec with labels A, B, C, ... (F1, F2, ... beyond 26)."""
-    if K <= 26:
-        labels = tuple(chr(ord("A") + k) for k in range(K))
-    else:
-        labels = tuple(f"F{k + 1}" for k in range(K))
-    return FactorSpec(labels)
+    """FactorSpec with labels A, B, C, ..."""
+    return FactorSpec(tuple(chr(ord("A") + k) for k in range(K)))
 
 
 def enumerate_treatments(K):

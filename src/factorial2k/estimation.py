@@ -93,13 +93,15 @@ class InferenceReport:
         }
 
     def to_dict(self):
+        se, half, z = self.se, self.ci_half_width, self.z_stat
+        low, high = self.estimate - half, self.estimate + half
         effects = {
             label: {
                 "estimate": float(self.estimate[i]),
-                "se": float(self.se[i]),
-                "ci_low": float(self.ci_low[i]),
-                "ci_high": float(self.ci_high[i]),
-                "z": float(self.z_stat[i]),
+                "se": float(se[i]),
+                "ci_low": float(low[i]),
+                "ci_high": float(high[i]),
+                "z": float(z[i]),
             }
             for i, label in enumerate(self.labels)
         }

@@ -8,7 +8,7 @@ the omitted-term coefficient matrix (the column-wise regression of the
 omitted design columns on the included ones).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg
@@ -209,7 +209,7 @@ def treatment_based_fit(data, check_tol=1e-8):
     return fit.coefficients, fit.robust_cov
 
 
-def saturated_fit(data, delta, check=True):
+def saturated_fit(data, delta):
     """Saturated location-shifted fit, verified against the moment route.
 
     Returns (fit, verification) where verification records the max relative
@@ -221,13 +221,12 @@ def saturated_fit(data, delta, check=True):
     spec = saturated_spec(delta)
     design = build_design(data, spec)
     fit = ols_fit(design.included, data.outcome, spec.terms)
-    verification = {"coef_rel_err": None, "cov_rel_err": None, "checked": check}
-    if not check:
-        return fit, verification
-
     G = contrast_matrix(product_scheme(spec.delta), spec.K).matrix
     summary = cell_summary(data, variances=False)
-    verification["coef_rel_err"] = rel_err(fit.coef_noint, G @ summary.means)
+    verification = {
+        "coef_rel_err": rel_err(fit.coef_noint, G @ summary.means),
+        "cov_rel_err": None,
+    }
     ok = verification["coef_rel_err"] <= IDENTITY_RTOL
     if (summary.counts >= 2).all():
         v_hat = summary.variances / summary.counts
@@ -250,20 +249,15 @@ def unsaturated_fit(data, spec):
 def wls_fit(data, spec):
     """Weighted least squares with unit weights 1/N_{Z_i}.
 
-    The sandwich covariance uses the same weights on both sides of the
-    squared residuals.
+    Ordinary least squares on rows scaled by sqrt(w_i).  HC0 on those rows
+    is the weighted sandwich with meat sum_i w_i^2 r_i^2 x_i x_i^T; the
+    returned residuals are the unscaled y - X beta.
     """
     counts = np.bincount(data.cell, minlength=data.spec.Q)
-    w = 1.0 / counts[data.cell].astype(np.float64)
-    design = build_design(data, spec)
-    X = design.included
-    sw = np.sqrt(w)
-    solve, gram_inv = _qr_solve(X * sw[:, None])
-    beta = solve(data.outcome * sw)
-    resid = data.outcome - X @ beta
-    xw = X * w[:, None]
-    meat = xw.T @ (xw * (resid ** 2)[:, None])
-    return FitResult(spec.terms, beta, resid, gram_inv @ meat @ gram_inv, gram_inv)
+    sw = np.sqrt(1.0 / counts[data.cell].astype(np.float64))
+    X = build_design(data, spec).included
+    fit = ols_fit(X * sw[:, None], data.outcome * sw, spec.terms)
+    return replace(fit, residuals=data.outcome - X @ fit.coefficients)
 
 
 @dataclass(frozen=True)
@@ -288,7 +282,7 @@ def omitted_algebra(design):
     if design.omitted.shape[1] == 0:
         raise ValueError("model is saturated; nothing is omitted")
     solve, _ = _qr_solve(design.included)
-    phi = np.column_stack([solve(col) for col in design.omitted.T])
+    phi = solve(design.omitted)
     resid = design.omitted - design.included @ phi
     # residual columns must carry independent variation for the exact criterion
     _qr_solve(resid)
@@ -298,13 +292,19 @@ def omitted_algebra(design):
 def verify_omitted_relation(data, spec):
     """Check the unsaturated/saturated coefficient relation and its criteria.
 
-    Reports the max relative error of
+    Builds the design once and fits it twice: the saturated fit on all
+    columns and the unsaturated fit on the included ones.  Reports the max
+    relative error of
     ``coef(unsaturated) = coef(saturated, included) + D @ coef(saturated, omitted)``
     together with the two sufficient orthogonality conditions and the exact
-    vanishing criterion for the correction term.
+    vanishing criterion ``F_+^T (F_- - mean F_-) gamma_-`` for the correction
+    term.  By Frisch-Waugh-Lovell the saturated omitted coefficients
+    ``gamma_-`` equal ``(R^T R)^{-1} R^T y`` for the residual matrix R of the
+    omitted columns on the included ones, so the criterion reuses them.
+    The unsaturated ``FitResult`` is returned under ``fit``.
     """
     design = build_design(data, spec)
-    sat_fit, _ = saturated_fit(data, spec.delta, check=False)
+    sat_fit = ols_fit(design.full, data.outcome)
     uns_fit = ols_fit(design.included, data.outcome, spec.terms)
     algebra = omitted_algebra(design)
 
@@ -318,18 +318,13 @@ def verify_omitted_relation(data, spec):
     F_plus = design.included
     F_minus = design.omitted
     centered_minus = F_minus - F_minus.mean(axis=0)
-    R = algebra.residual_matrix
-    criterion = (
-        F_plus[:, 1:].T
-        @ centered_minus
-        @ np.linalg.solve(R.T @ R, R.T @ data.outcome)
-    )
     report = {
+        "fit": uns_fit,
         "relation_rel_err": rel_err(uns_fit.coef_noint, predicted),
         "correction": algebra.d @ gamma_minus,
         "orthogonal_raw": float(np.abs(F_plus.T @ F_minus).max()),
         "orthogonal_centered": float(np.abs(F_plus.T @ centered_minus).max()),
-        "exact_criterion": criterion,
+        "exact_criterion": F_plus[:, 1:].T @ centered_minus @ gamma_minus,
         "unsaturated_coef": uns_fit.coef_noint,
         "saturated_plus_coef": gamma_plus,
         "saturated_minus_coef": gamma_minus,

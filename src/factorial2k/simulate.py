@@ -21,7 +21,7 @@ from .errors import (
     Factorial2kError,
     TooManyAssignmentsError,
 )
-from .regression import build_design, omitted_algebra, ols_fit, saturated_spec
+from .regression import build_design, omitted_algebra, ols_fit
 from .weighting import product_scheme
 
 ENUMERATION_GUARD = 10 ** 7
@@ -340,18 +340,14 @@ def truth_covariance_of_cell_means(table, sizes):
     return np.diag(np.diag(S) / sizes.sizes) - S / table.N
 
 
-def unsaturated_moment_map(data_or_design, spec):
+def unsaturated_moment_map(data, spec):
     """Selection-plus-correction matrix (I, D) over all canonical terms.
 
     Maps the full saturated coefficient vector into the unsaturated one:
     columns follow the canonical term order, with identity on included
     terms and D on omitted terms.
     """
-    design = (
-        data_or_design
-        if hasattr(data_or_design, "included")
-        else build_design(data_or_design, spec)
-    )
+    design = build_design(data, spec)
     d = omitted_algebra(design).d
     all_terms = enumerate_subsets(spec.K)
     J = np.zeros((len(spec.terms), len(all_terms)))
@@ -365,26 +361,26 @@ def unsaturated_moment_map(data_or_design, spec):
 def compare_saturated_unsaturated(table, sizes, spec):
     """Exact covariance ordering between saturated and unsaturated fits.
 
-    Enumerates all assignments, reports exact covariances of the included
-    saturated coefficients and the unsaturated coefficients, whether their
-    difference is PSD, and the closed-form covariance of the unsaturated
-    coefficients computed from the potential outcomes.
+    Enumerates all assignments once, fitting both models on one design per
+    assignment, and reports exact covariances of the included saturated
+    coefficients and the unsaturated coefficients, whether their difference
+    is PSD, and the closed-form covariance of the unsaturated coefficients
+    computed from the potential outcomes.
     """
     fspec = default_spec(table.K)
     all_terms = enumerate_subsets(spec.K)
     plus_idx = [all_terms.index(t) for t in spec.terms]
-    sat_spec = saturated_spec(spec.delta)
+    p = len(plus_idx)
 
-    def sat_plus(data):
-        design = build_design(data, sat_spec)
-        return ols_fit(design.included, data.outcome).coefficients[1:][plus_idx]
-
-    def uns(data):
+    def both(data):
         design = build_design(data, spec)
-        return ols_fit(design.included, data.outcome).coefficients[1:]
+        sat = ols_fit(design.full, data.outcome).coefficients[1:][plus_idx]
+        uns = ols_fit(design.included, data.outcome).coefficients[1:]
+        return np.concatenate([sat, uns])
 
-    mean_sat, cov_sat = exact_expectations(table, sizes, sat_plus, fspec)
-    mean_uns, cov_uns = exact_expectations(table, sizes, uns, fspec)
+    mean, cov = exact_expectations(table, sizes, both, fspec)
+    mean_sat, mean_uns = mean[:p], mean[p:]
+    cov_sat, cov_uns = cov[:p, :p], cov[p:, p:]
 
     # closed-form covariance from the potential outcomes
     rng = np.random.default_rng(0)

@@ -1,5 +1,7 @@
 import csv
+import importlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +46,25 @@ def run_cli(args, tmp_path, name="out.json"):
     code = main(args + ["--out", str(out)])
     payload = json.loads(out.read_text()) if out.exists() else None
     return code, payload
+
+
+def spy_calls(monkeypatch, module, name):
+    """Count calls to ``factorial2k.<module>.<name>`` through every bound name.
+
+    Modules import layer functions by name, so every factorial2k module that
+    holds the function gets the counting wrapper.
+    """
+    original = getattr(importlib.import_module(f"factorial2k.{module}"), name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "factorial2k" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, spy)
+    return calls
 
 
 def test_analyze_balanced(csv_2x2, tmp_path):
@@ -97,6 +118,28 @@ def test_analyze_unsaturated_model(csv_2x2, tmp_path):
     coefs = payload["regression"]["coefficients"]
     assert coefs["A"]["coefficient"] == pytest.approx(4.5)
     assert coefs["B"]["coefficient"] == pytest.approx(1.5)
+
+
+def test_analyze_model_builds_one_design_and_two_fits(csv_2x2, tmp_path, monkeypatch):
+    designs = spy_calls(monkeypatch, "regression", "build_design")
+    fits = spy_calls(monkeypatch, "regression", "ols_fit")
+    refits = spy_calls(monkeypatch, "regression", "unsaturated_fit")
+    code, payload = run_cli(
+        ["analyze", "--input", csv_2x2, "--factors", "A,B", "--model", "A,B"], tmp_path
+    )
+    assert code == EXIT_OK
+    assert payload["verification"]["pass"] is True
+    assert (len(designs), len(fits), len(refits)) == (1, 2, 0)
+
+
+def test_analyze_rejects_too_many_factors(csv_2x2, tmp_path, monkeypatch, capsys):
+    builds = spy_calls(monkeypatch, "contrasts", "contrast_matrix")
+    code, _ = run_cli(
+        ["analyze", "--input", csv_2x2, "--factors", ",".join("ABCDEFGHIJKLM")], tmp_path
+    )
+    assert code == EXIT_VALIDATION
+    assert "at most 12" in capsys.readouterr().err
+    assert builds == []
 
 
 def test_analyze_missing_factors(csv_2x2, tmp_path):
@@ -166,6 +209,31 @@ def test_simulate_exact_unbiased(tmp_path):
     assert report["assignments"] == 2520
     assert report["unbiasedness"]["pass"] is True
     assert report["unbiasedness"]["max_abs_bias"] <= 1e-8
+
+
+def test_simulate_exact_builds_one_contrast_matrix(tmp_path, monkeypatch):
+    builds = spy_calls(monkeypatch, "contrasts", "contrast_matrix")
+    reports = spy_calls(monkeypatch, "estimation", "effect_estimates")
+    code, payload = run_cli(
+        ["simulate", "--population", "heterogeneous", "--sizes", "2,2,2,2", "--exact"],
+        tmp_path,
+    )
+    assert code == EXIT_OK
+    assert payload["report"]["assignments"] == 2520
+    assert (len(builds), len(reports)) == (1, 0)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e6, 1e8])
+def test_simulate_exact_unbiased_under_offset(tmp_path, offset):
+    # rounding grows with the outcome scale; it must not read as bias
+    pop = tmp_path / "pop.csv"
+    values = np.random.default_rng(9).normal(size=(8, 4)) + offset
+    np.savetxt(pop, values, delimiter=",", header="00,01,10,11", comments="")
+    code, payload = run_cli(
+        ["simulate", "--population", str(pop), "--sizes", "2,2,2,2", "--exact"], tmp_path
+    )
+    assert code == EXIT_OK
+    assert payload["report"]["unbiasedness"]["pass"] is True
 
 
 def test_simulate_mc_deterministic(tmp_path):

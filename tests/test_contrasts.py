@@ -132,6 +132,11 @@ def test_conditional_row_validation():
         conditional_effect_row((0,), (0, 2), 3)
 
 
+def test_contrast_matrix_rejects_more_than_max_factors():
+    with pytest.raises(DimensionMismatchError, match="1..12"):
+        contrast_matrix(equal_scheme(13), 13)
+
+
 def test_general_effect_row_2x2_weights():
     s = from_joint([0.1, 0.2, 0.3, 0.4])
     pi_b = s.marginal((1,))

@@ -11,6 +11,7 @@ from factorial2k import (
     enumerate_treatments,
     ingest_csv,
 )
+from factorial2k.core import MAX_FACTORS
 from factorial2k.errors import EmptyCellError, ParseError, SingletonCellError
 
 
@@ -49,6 +50,9 @@ def test_factor_spec_validation():
         FactorSpec(())
     with pytest.raises(ValueError):
         FactorSpec(("A", "A"))
+    assert default_spec(MAX_FACTORS).K == MAX_FACTORS == 12
+    with pytest.raises(ValueError, match="at most 12"):
+        default_spec(13)
     assert default_spec(3).labels == ("A", "B", "C")
     assert default_spec(2).subset_label((0, 1)) == "A:B"
 

@@ -242,6 +242,47 @@ def test_exact_criterion_matches_correction():
         assert zero_correction == zero_criterion
 
 
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_exact_criterion_matches_residual_regression_oracle(K):
+    # oracle: the omitted coefficients from regressing y on the residual matrix
+    rng = np.random.default_rng(60 + K)
+    all_terms = enumerate_subsets(K)
+    for _ in range(5):
+        data = random_dataset(K, rng)
+        n_terms = int(rng.integers(1, len(all_terms)))
+        chosen = sorted(rng.choice(len(all_terms), size=n_terms, replace=False).tolist())
+        spec = ModelSpec(rng.uniform(0, 1, K), tuple(all_terms[i] for i in chosen))
+        report = verify_omitted_relation(data, spec)
+        design = build_design(data, spec)
+        R = omitted_algebra(design).residual_matrix
+        centered = design.omitted - design.omitted.mean(axis=0)
+        oracle = (
+            design.included[:, 1:].T
+            @ centered
+            @ np.linalg.solve(R.T @ R, R.T @ data.outcome)
+        )
+        assert rel_err(report["exact_criterion"], oracle) <= 1e-8
+        np.testing.assert_array_equal(
+            report["fit"].coefficients, unsaturated_fit(data, spec).coefficients
+        )
+
+
+def test_wls_weighted_sandwich_oracle():
+    rng = np.random.default_rng(56)
+    data = random_dataset(3, rng, min_cell=2, max_cell=9)
+    spec = additive_spec(rng.uniform(0, 1, 3))
+    fit = wls_fit(data, spec)
+    X = build_design(data, spec).included
+    w = 1.0 / np.bincount(data.cell)[data.cell]
+    bread = np.linalg.inv(X.T @ (X * w[:, None]))
+    beta = bread @ X.T @ (w * data.outcome)
+    resid = data.outcome - X @ beta
+    xw = X * (w * resid)[:, None]
+    np.testing.assert_allclose(fit.coefficients, beta, rtol=1e-10)
+    np.testing.assert_allclose(fit.residuals, resid, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(fit.robust_cov, bread @ xw.T @ xw @ bread, rtol=1e-10)
+
+
 def test_wls_balanced_equals_ols():
     data = make_dataset(2, [3, 3, 3, 3], lambda c, rng: float(2 * c + 1))
     spec = additive_spec([0.4, 0.6])
