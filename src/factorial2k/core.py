@@ -105,14 +105,16 @@ class AssignmentTable:
     cell: np.ndarray = field(init=False)  # (N,) cell index per unit
 
     def __post_init__(self):
-        z = np.asarray(self.assignment, dtype=np.int64)
+        z = np.asarray(self.assignment)
         y = np.asarray(self.outcome, dtype=np.float64)
         if z.ndim != 2 or z.shape[1] != self.spec.K:
             raise ValueError("assignment must be N x K")
         if y.shape != (z.shape[0],):
             raise ValueError("outcome length must match assignment rows")
-        if not np.isin(z, (0, 1)).all():
+        # checked before the integer cast, which would truncate 0.5 to 0
+        if not ((z == 0) | (z == 1)).all():
             raise ValueError("factor levels must be 0/1")
+        z = z.astype(np.int64, copy=False)
         object.__setattr__(self, "assignment", z)
         object.__setattr__(self, "outcome", y)
         weights = 2 ** np.arange(self.spec.K - 1, -1, -1, dtype=np.int64)
@@ -169,30 +171,40 @@ def ingest_csv(path, spec, outcome_col="Y"):
     outcome column must parse as a float.  Row order is preserved.
     """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ParseError("empty file")
-        missing = [c for c in (*spec.labels, outcome_col) if c not in reader.fieldnames]
+        missing = [c for c in (*spec.labels, outcome_col) if c not in header]
         if missing:
             raise ParseError(f"missing columns: {missing}")
+        # a repeated column name refers to its last occurrence
+        column = {name: i for i, name in enumerate(header)}
+        factor_cols = [(label, column[label]) for label in spec.labels]
+        y_col = column[outcome_col]
         levels, outcomes = [], []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            if not row:
+                continue
+            lineno = reader.line_num
+            if len(row) != len(header):
+                raise ParseError(
+                    f"line {lineno}: expected {len(header)} fields, got {len(row)}"
+                )
             z = []
-            for label in spec.labels:
-                value = row[label].strip()
+            for label, i in factor_cols:
+                value = row[i].strip()
                 if value not in ("0", "1"):
                     raise ParseError(
                         f"line {lineno}: factor {label} has non-binary value {value!r}"
                     )
                 z.append(int(value))
             try:
-                y = float(row[outcome_col])
-            except (TypeError, ValueError):
-                raise ParseError(
-                    f"line {lineno}: non-numeric outcome {row[outcome_col]!r}"
-                )
+                y = float(row[y_col])
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-numeric outcome {row[y_col]!r}")
             if not math.isfinite(y):
-                raise ParseError(f"line {lineno}: non-finite outcome {row[outcome_col]!r}")
+                raise ParseError(f"line {lineno}: non-finite outcome {row[y_col]!r}")
             levels.append(z)
             outcomes.append(y)
     if not levels:

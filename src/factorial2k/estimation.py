@@ -9,7 +9,7 @@ design-based guarantees are asymptotic, so no t correction is applied).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .contrasts import contrast_matrix
 from .core import cell_summary
@@ -55,7 +55,7 @@ class InferenceReport:
 
     @property
     def ci_half_width(self):
-        return stats.norm.ppf(1.0 - self.alpha / 2.0) * self.se
+        return special.ndtri(1.0 - self.alpha / 2.0) * self.se
 
     @property
     def ci_low(self):
@@ -89,7 +89,7 @@ class InferenceReport:
         return {
             "statistic": statistic,
             "df": rank,
-            "p_value": float(stats.chi2.sf(statistic, rank)),
+            "p_value": float(special.chdtrc(rank, statistic)),
         }
 
     def to_dict(self):

@@ -82,8 +82,8 @@ class DesignMatrix:
     full: np.ndarray  # N x 2^K, intercept first, then all terms canonically
     included: np.ndarray  # N x (1 + #terms), intercept first
     omitted: np.ndarray  # N x (2^K - 1 - #terms)
-    included_terms: tuple
-    omitted_terms: tuple
+    included_pos: np.ndarray  # positions in the canonical term order
+    omitted_pos: np.ndarray  # positions in the canonical term order
 
 
 def build_design(data, spec):
@@ -97,16 +97,16 @@ def build_design(data, spec):
     for s in subsets:
         cols.append(np.prod(shifted[:, list(s)], axis=1))
     full = np.column_stack(cols)
-    included_idx = [0] + [1 + subsets.index(t) for t in spec.terms]
-    omitted_terms = tuple(s for s in subsets if s not in spec.terms)
-    omitted_idx = [1 + subsets.index(t) for t in omitted_terms]
+    included = set(spec.terms)
+    is_plus = np.array([s in included for s in subsets])
+    plus_pos, minus_pos = np.flatnonzero(is_plus), np.flatnonzero(~is_plus)
     return DesignMatrix(
         spec,
         full,
-        full[:, included_idx],
-        full[:, omitted_idx],
-        spec.terms,
-        omitted_terms,
+        full[:, np.concatenate([[0], 1 + plus_pos])],
+        full[:, 1 + minus_pos],
+        plus_pos,
+        minus_pos,
     )
 
 
@@ -124,7 +124,6 @@ class FitResult:
     coefficients: np.ndarray
     residuals: np.ndarray
     robust_cov: np.ndarray
-    gram_inverse: np.ndarray
 
     @property
     def intercept(self):
@@ -150,12 +149,13 @@ class FitResult:
         }
 
 
-def _qr_solve(X, y=None):
+def _qr_solve(X):
     """Pivoted-QR least squares with a rank check.
 
-    Returns (solve, gram_inverse) where ``solve(y)`` gives the coefficient
-    vector.  Raises RankDeficientError when the numerical rank at the
-    relative tolerance falls short of the column count.
+    Returns ``(solve, gram_inverse)``: ``solve(rhs)`` gives the coefficients
+    and ``gram_inverse()`` computes (X^T X)^{-1} from the same factors.
+    Raises RankDeficientError when the numerical rank at the relative
+    tolerance falls short of the column count.
     """
     n, p = X.shape
     if n < p:
@@ -166,14 +166,16 @@ def _qr_solve(X, y=None):
         raise RankDeficientError("design matrix is rank deficient")
     inv_perm = np.empty(p, dtype=np.intp)
     inv_perm[piv] = np.arange(p)
-    r_inv = linalg.solve_triangular(R, np.eye(p))
-    gram_inv = (r_inv @ r_inv.T)[np.ix_(inv_perm, inv_perm)]
 
     def solve(rhs):
         beta = linalg.solve_triangular(R, Q.T @ rhs)
         return beta[inv_perm]
 
-    return solve, gram_inv
+    def gram_inverse():
+        r_inv = linalg.solve_triangular(R, np.eye(p))
+        return (r_inv @ r_inv.T)[np.ix_(inv_perm, inv_perm)]
+
+    return solve, gram_inverse
 
 
 def _hc0(X, resid, gram_inv):
@@ -183,10 +185,10 @@ def _hc0(X, resid, gram_inv):
 
 def ols_fit(X, y, terms=()):
     """Plain least squares on an explicit design matrix, with HC0."""
-    solve, gram_inv = _qr_solve(X)
+    solve, gram_inverse = _qr_solve(X)
     beta = solve(y)
     resid = y - X @ beta
-    return FitResult(tuple(terms), beta, resid, _hc0(X, resid, gram_inv), gram_inv)
+    return FitResult(tuple(terms), beta, resid, _hc0(X, resid, gram_inverse()))
 
 
 def treatment_based_fit(data, check_tol=1e-8):
@@ -276,43 +278,40 @@ class OmittedTermAlgebra:
 def omitted_algebra(design):
     """Phi, the residual matrix, and D for a given design.
 
-    Phi is a deterministic function of the cell proportions alone, so it is
-    unchanged when every unit is duplicated.
+    Needs only the included columns to have full rank; the residual matrix
+    may be rank deficient.  Phi is a deterministic function of the cell
+    proportions alone, so it is unchanged when every unit is duplicated.
     """
     if design.omitted.shape[1] == 0:
         raise ValueError("model is saturated; nothing is omitted")
     solve, _ = _qr_solve(design.included)
     phi = solve(design.omitted)
     resid = design.omitted - design.included @ phi
-    # residual columns must carry independent variation for the exact criterion
-    _qr_solve(resid)
     return OmittedTermAlgebra(phi, resid, phi[1:, :])
 
 
 def verify_omitted_relation(data, spec):
     """Check the unsaturated/saturated coefficient relation and its criteria.
 
-    Builds the design once and fits it twice: the saturated fit on all
-    columns and the unsaturated fit on the included ones.  Reports the max
-    relative error of
+    Builds the design once, solves the saturated coefficients on all its
+    columns and fits the unsaturated model on the included ones.  Reports
+    the max relative error of
     ``coef(unsaturated) = coef(saturated, included) + D @ coef(saturated, omitted)``
     together with the two sufficient orthogonality conditions and the exact
     vanishing criterion ``F_+^T (F_- - mean F_-) gamma_-`` for the correction
     term.  By Frisch-Waugh-Lovell the saturated omitted coefficients
     ``gamma_-`` equal ``(R^T R)^{-1} R^T y`` for the residual matrix R of the
     omitted columns on the included ones, so the criterion reuses them.
-    The unsaturated ``FitResult`` is returned under ``fit``.
+    As rank([F_+ F_-]) = rank(F_+) + rank(R), the rank check of the full
+    design also guards R.  The unsaturated ``FitResult`` is under ``fit``.
     """
     design = build_design(data, spec)
-    sat_fit = ols_fit(design.full, data.outcome)
+    gamma = _qr_solve(design.full)[0](data.outcome)[1:]
     uns_fit = ols_fit(design.included, data.outcome, spec.terms)
     algebra = omitted_algebra(design)
 
-    all_terms = enumerate_subsets(spec.K)
-    plus_idx = [all_terms.index(t) for t in design.included_terms]
-    minus_idx = [all_terms.index(t) for t in design.omitted_terms]
-    gamma_plus = sat_fit.coef_noint[plus_idx]
-    gamma_minus = sat_fit.coef_noint[minus_idx]
+    gamma_plus = gamma[design.included_pos]
+    gamma_minus = gamma[design.omitted_pos]
     predicted = gamma_plus + algebra.d @ gamma_minus
 
     F_plus = design.included

@@ -12,16 +12,16 @@ from concurrent.futures import ThreadPoolExecutor
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .contrasts import contrast_matrix
-from .core import AssignmentTable, default_spec, enumerate_subsets, enumerate_treatments
+from .core import AssignmentTable, default_spec, enumerate_treatments
 from .errors import (
     EstimatorFailureError,
     Factorial2kError,
     TooManyAssignmentsError,
 )
-from .regression import build_design, omitted_algebra, ols_fit
+from .regression import _qr_solve, build_design, omitted_algebra
 from .weighting import product_scheme
 
 ENUMERATION_GUARD = 10 ** 7
@@ -240,7 +240,7 @@ def monte_carlo(
     if reps < 1:
         raise ValueError("reps must be >= 1")
     spec = spec or default_spec(table.K)
-    zq = stats.norm.ppf(1.0 - alpha / 2.0)
+    zq = special.ndtri(1.0 - alpha / 2.0)
 
     estimates = [None] * reps
     covs = [None] * reps
@@ -348,34 +348,29 @@ def unsaturated_moment_map(data, spec):
     terms and D on omitted terms.
     """
     design = build_design(data, spec)
-    d = omitted_algebra(design).d
-    all_terms = enumerate_subsets(spec.K)
-    J = np.zeros((len(spec.terms), len(all_terms)))
-    for i, t in enumerate(design.included_terms):
-        J[i, all_terms.index(t)] = 1.0
-    for j, t in enumerate(design.omitted_terms):
-        J[:, all_terms.index(t)] = d[:, j]
+    p = design.included_pos.size
+    J = np.zeros((p, p + design.omitted_pos.size))
+    J[np.arange(p), design.included_pos] = 1.0
+    J[:, design.omitted_pos] = omitted_algebra(design).d
     return J
 
 
 def compare_saturated_unsaturated(table, sizes, spec):
     """Exact covariance ordering between saturated and unsaturated fits.
 
-    Enumerates all assignments once, fitting both models on one design per
-    assignment, and reports exact covariances of the included saturated
-    coefficients and the unsaturated coefficients, whether their difference
-    is PSD, and the closed-form covariance of the unsaturated coefficients
-    computed from the potential outcomes.
+    Enumerates all assignments once, solving both models' coefficients on
+    one design per assignment, and reports exact covariances of the
+    included saturated coefficients and the unsaturated coefficients,
+    whether their difference is PSD, and the closed-form covariance of the
+    unsaturated coefficients computed from the potential outcomes.
     """
     fspec = default_spec(table.K)
-    all_terms = enumerate_subsets(spec.K)
-    plus_idx = [all_terms.index(t) for t in spec.terms]
-    p = len(plus_idx)
+    p = len(spec.terms)
 
     def both(data):
         design = build_design(data, spec)
-        sat = ols_fit(design.full, data.outcome).coefficients[1:][plus_idx]
-        uns = ols_fit(design.included, data.outcome).coefficients[1:]
+        sat = _qr_solve(design.full)[0](data.outcome)[1:][design.included_pos]
+        uns = _qr_solve(design.included)[0](data.outcome)[1:]
         return np.concatenate([sat, uns])
 
     mean, cov = exact_expectations(table, sizes, both, fspec)

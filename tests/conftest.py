@@ -1,3 +1,6 @@
+import importlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -24,3 +27,22 @@ def make_dataset(K, sizes, outcome_fn, rng=None):
     levels = ((cells[:, None] >> np.arange(K - 1, -1, -1)) & 1).astype(np.int64)
     outcome = np.array([outcome_fn(c, rng) for c in cells])
     return AssignmentTable(spec, levels, outcome)
+
+
+def spy_calls(monkeypatch, module, name):
+    """Count calls to ``factorial2k.<module>.<name>`` through every bound name.
+
+    Modules import layer functions by name, so every factorial2k module that
+    holds the function gets the counting wrapper.
+    """
+    original = getattr(importlib.import_module(f"factorial2k.{module}"), name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "factorial2k" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, spy)
+    return calls

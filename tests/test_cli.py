@@ -1,11 +1,14 @@
 import csv
-import importlib
 import json
+import os
+from pathlib import Path
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import factorial2k
 from factorial2k import (
     contrast_matrix,
     effect_estimates,
@@ -23,6 +26,8 @@ from factorial2k.cli import (
 )
 from factorial2k.core import FactorSpec
 from factorial2k.errors import ParseError
+
+from conftest import spy_calls
 
 
 @pytest.fixture
@@ -46,25 +51,6 @@ def run_cli(args, tmp_path, name="out.json"):
     code = main(args + ["--out", str(out)])
     payload = json.loads(out.read_text()) if out.exists() else None
     return code, payload
-
-
-def spy_calls(monkeypatch, module, name):
-    """Count calls to ``factorial2k.<module>.<name>`` through every bound name.
-
-    Modules import layer functions by name, so every factorial2k module that
-    holds the function gets the counting wrapper.
-    """
-    original = getattr(importlib.import_module(f"factorial2k.{module}"), name)
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "factorial2k" and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, spy)
-    return calls
 
 
 def test_analyze_balanced(csv_2x2, tmp_path):
@@ -124,12 +110,15 @@ def test_analyze_model_builds_one_design_and_two_fits(csv_2x2, tmp_path, monkeyp
     designs = spy_calls(monkeypatch, "regression", "build_design")
     fits = spy_calls(monkeypatch, "regression", "ols_fit")
     refits = spy_calls(monkeypatch, "regression", "unsaturated_fit")
+    factorisations = spy_calls(monkeypatch, "regression", "_qr_solve")
     code, payload = run_cli(
         ["analyze", "--input", csv_2x2, "--factors", "A,B", "--model", "A,B"], tmp_path
     )
     assert code == EXIT_OK
     assert payload["verification"]["pass"] is True
-    assert (len(designs), len(fits), len(refits)) == (1, 2, 0)
+    # the saturated fit solves coefficients only; HC0 comes from the one ols_fit
+    assert (len(designs), len(fits), len(refits)) == (1, 1, 0)
+    assert len(factorisations) == 3
 
 
 def test_analyze_rejects_too_many_factors(csv_2x2, tmp_path, monkeypatch, capsys):
@@ -177,6 +166,28 @@ def test_analyze_non_finite_outcome(tmp_path, capsys):
     code, _ = run_cli(["analyze", "--input", str(path), "--factors", "A,B"], tmp_path)
     assert code == EXIT_VALIDATION
     assert "line 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_row", ["1", "0,1,2.0,9"])
+def test_analyze_rejects_row_with_wrong_field_count(tmp_path, capsys, bad_row):
+    path = tmp_path / "ragged.csv"
+    path.write_text(f"A,B,Y\n0,0,1\n{bad_row}\n1,0,5\n1,1,7\n")
+    code, _ = run_cli(["analyze", "--input", str(path), "--factors", "A,B"], tmp_path)
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: line 3:")
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(factorial2k.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, factorial2k.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
 
 def test_resolve_scheme_product():
     s = resolve_scheme("product:0.3,0.6", None, 2)

@@ -134,6 +134,26 @@ def test_ingest_csv_non_finite_outcome(tmp_path, text):
         ingest_csv(path, default_spec(2))
 
 
+@pytest.mark.parametrize("bad_row, got", [("1", 1), ("0,1,2.0,9", 4)])
+def test_ingest_csv_wrong_field_count(tmp_path, bad_row, got):
+    path = tmp_path / "d.csv"
+    path.write_text(f"A,B,Y\n0,0,1.0\n{bad_row}\n1,0,3.0\n")
+    with pytest.raises(ParseError, match=f"line 3: expected 3 fields, got {got}"):
+        ingest_csv(path, default_spec(2))
+
+
+def test_assignment_table_level_validation():
+    spec = default_spec(2)
+    y = np.arange(2.0)
+    for bad in ([[0.5, 0.0], [1.0, 1.0]], [[0, 1], [1.7, 0]], [[0, 2], [1, 1]]):
+        with pytest.raises(ValueError, match="0/1"):
+            AssignmentTable(spec, np.array(bad), y)
+    for good in (np.array([[True, False], [False, True]]), np.array([[1.0, 0.0], [0.0, 1.0]])):
+        data = AssignmentTable(spec, good, y)
+        assert data.assignment.dtype == np.int64
+        np.testing.assert_array_equal(data.cell, [2, 1])
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e8])
 def test_cell_summary_matches_mask_loop(offset):
     # reference: one boolean mask per cell, as numpy's mean and var compute it

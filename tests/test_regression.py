@@ -171,6 +171,18 @@ def test_omitted_algebra_duplication_invariance():
     assert rel_err(omitted_algebra(build_design(doubled, spec)).phi, phi) <= 1e-8
 
 
+def test_empty_cell_additive_model():
+    # three nonempty cells: the included columns have full rank, the full design
+    # not; with zero shifts the omitted A:B column is identically zero
+    data = make_dataset(2, [3, 3, 3, 0], lambda c, rng: float(c) + 1)
+    spec = additive_spec([0.0, 0.0])
+    with pytest.raises(RankDeficientError):
+        verify_omitted_relation(data, spec)
+    d = omitted_algebra(build_design(data, spec)).d
+    assert d.shape == (2, 1)
+    assert np.isfinite(d).all()
+
+
 def test_two_way_closed_form_map():
     rng = np.random.default_rng(48)
     for _ in range(5):

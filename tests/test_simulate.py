@@ -33,6 +33,8 @@ from factorial2k.simulate import (
 )
 from factorial2k.regression import build_design, ols_fit
 
+from conftest import spy_calls
+
 
 @pytest.fixture
 def small_population():
@@ -234,6 +236,14 @@ def test_compare_saturated_unsaturated_constant_effects():
     np.testing.assert_allclose(
         report["cov_unsaturated"], report["cov_unsaturated_formula"], atol=1e-9
     )
+
+
+def test_compare_saturated_unsaturated_solves_coefficients_only(monkeypatch):
+    fits = spy_calls(monkeypatch, "regression", "ols_fit")
+    rng = np.random.default_rng(64)
+    table = PotentialOutcomeTable(rng.normal(0.0, 1.0, size=(8, 4)))
+    compare_saturated_unsaturated(table, SIZES_2222, additive_spec([0.5, 0.5]))
+    assert fits == []
 
 
 def test_sim_report_roundtrip(small_population):
