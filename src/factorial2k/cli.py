@@ -44,8 +44,11 @@ EXIT_NUMERICAL = 2
 EXIT_IDENTITY = 3
 
 
-def _parse_floats(text):
-    return np.array([float(x) for x in text.split(",")])
+def _parse_floats(text, K, what):
+    values = np.array([float(x) for x in text.split(",")])
+    if values.size != K:
+        raise ParseError(f"{what} needs {K} values")
+    return values
 
 
 def resolve_scheme(name, summary, K):
@@ -57,10 +60,7 @@ def resolve_scheme(name, summary, K):
             raise ParseError("empirical scheme needs observed data")
         return empirical_scheme(summary)
     if name.startswith("product:"):
-        delta = _parse_floats(name.split(":", 1)[1])
-        if delta.size != K:
-            raise ParseError(f"product scheme needs {K} probabilities")
-        return product_scheme(delta)
+        return product_scheme(_parse_floats(name.split(":", 1)[1], K, "product scheme"))
     raise ParseError(f"unknown scheme {name!r}")
 
 
@@ -82,18 +82,15 @@ def _run_config(args):
 
 
 def cmd_analyze(args):
-    labels = args.factors.split(",") if args.factors else None
-    if labels is None:
+    if not args.factors:
         raise ParseError("--factors is required for analyze")
-    spec = FactorSpec(tuple(labels))
+    spec = FactorSpec(tuple(args.factors.split(",")))
     data = ingest_csv(args.input, spec, outcome_col=args.outcome_col)
     summary = cell_summary(data, variances=True)
     scheme = resolve_scheme(args.scheme, summary, spec.K)
 
     if args.delta:
-        delta = _parse_floats(args.delta)
-        if delta.size != spec.K:
-            raise ParseError(f"--delta needs {spec.K} values")
+        delta = _parse_floats(args.delta, spec.K, "--delta")
     else:
         # default: pair the shifts with the scheme's marginal one-probabilities
         delta = scheme.factor_one_probs()
@@ -155,7 +152,10 @@ def cmd_simulate(args):
         raise ParseError("population size and design sizes disagree")
     K = table.K
     fspec = default_spec(K)
-    scheme = product_scheme(_parse_floats(args.delta)) if args.delta else equal_scheme(K)
+    if args.delta:
+        scheme = product_scheme(_parse_floats(args.delta, K, "--delta"))
+    else:
+        scheme = equal_scheme(K)
     ybar = table.means
     G = contrast_matrix(scheme, K).matrix
     truth = G @ ybar
@@ -207,7 +207,7 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
-    delta = _parse_floats(args.delta) if args.delta else None
+    delta = _parse_floats(args.delta, args.K, "--delta") if args.delta else None
     records = run_identity_suite(
         K=args.K,
         seed=args.seed,
@@ -268,6 +268,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "alpha" in vars(args) and not 0.0 < args.alpha < 1.0:
+            raise ParseError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
         return args.func(args)
     except (ParseError, ValueError, TooManyAssignmentsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

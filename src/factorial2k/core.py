@@ -143,6 +143,15 @@ class CellSummary:
         return self.counts / self.N
 
 
+def _cell_moments(data):
+    """Counts, means and within-cell sums of squares per cell; zeros for an empty cell."""
+    Q = data.spec.Q
+    counts = np.bincount(data.cell, minlength=Q)
+    means = np.bincount(data.cell, weights=data.outcome, minlength=Q) / np.maximum(counts, 1)
+    deviation = data.outcome - means[data.cell]
+    return counts, means, np.bincount(data.cell, weights=deviation ** 2, minlength=Q)
+
+
 def cell_summary(data, variances=True):
     """Counts, means, and within-cell variances per cell.
 
@@ -150,16 +159,12 @@ def cell_summary(data, variances=True):
     unit has a NaN variance, or raises SingletonCellError when
     ``variances`` are required.
     """
-    Q = data.spec.Q
-    counts = np.bincount(data.cell, minlength=Q)
+    counts, means, ss = _cell_moments(data)
     if (counts == 0).any():
         raise EmptyCellError(f"cells with no units: {np.flatnonzero(counts == 0).tolist()}")
     if variances and (counts < 2).any():
         raise SingletonCellError(f"cell {np.flatnonzero(counts < 2)[0]} has a single unit")
-    means = np.bincount(data.cell, weights=data.outcome, minlength=Q) / counts
-    deviation = data.outcome - means[data.cell]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        var = np.bincount(data.cell, weights=deviation ** 2, minlength=Q) / (counts - 1)
+    var = ss / np.maximum(counts - 1, 1)
     var[counts < 2] = np.nan
     return CellSummary(data.spec, counts, means, var)
 

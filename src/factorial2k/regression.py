@@ -5,16 +5,17 @@ included interaction terms.  The saturated fit reproduces the moment
 estimator of the general effects under the product weighting scheme built
 from delta; unsaturated fits relate to the saturated coefficients through
 the omitted-term coefficient matrix (the column-wise regression of the
-omitted design columns on the included ones).
+omitted design columns on the included ones).  Every fit runs on the 2^K
+cell rows of the design, weighted by the cell counts.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
 
 from .contrasts import contrast_matrix
-from .core import cell_summary, enumerate_subsets
+from .core import _cell_moments, enumerate_subsets, enumerate_treatments
 from .errors import IdentityViolationError, RankDeficientError
 from .estimation import RANK_RTOL, moment_estimates
 from .weighting import ShiftVector, product_scheme
@@ -76,37 +77,45 @@ def additive_spec(delta):
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Full, included, and omitted design columns for a model spec."""
+    """Design rows x_z, one per cell; the unit-level matrices index them by cell."""
 
     spec: ModelSpec
-    full: np.ndarray  # N x 2^K, intercept first, then all terms canonically
-    included: np.ndarray  # N x (1 + #terms), intercept first
-    omitted: np.ndarray  # N x (2^K - 1 - #terms)
+    rows: np.ndarray  # 2^K x 2^K, intercept first, then all terms canonically
+    included_rows: np.ndarray  # 2^K x (1 + #terms), intercept first
+    omitted_rows: np.ndarray  # 2^K x (2^K - 1 - #terms)
     included_pos: np.ndarray  # positions in the canonical term order
     omitted_pos: np.ndarray  # positions in the canonical term order
+    cell: np.ndarray  # (N,) cell index per unit
+
+    @property
+    def full(self):
+        return self.rows[self.cell]
+
+    @property
+    def included(self):
+        return self.included_rows[self.cell]
+
+    @property
+    def omitted(self):
+        return self.omitted_rows[self.cell]
 
 
 def build_design(data, spec):
-    """Intercept plus shifted-product columns prod_{k in S}(Z_ik - delta_k)."""
+    """Intercept plus shifted-product columns prod_{k in S}(z_k - delta_k)."""
     K = spec.K
     if data.spec.K != K:
         raise ValueError("data and model disagree on the number of factors")
-    shifted = data.assignment.astype(np.float64) - spec.delta.delta
+    shifted = np.array(enumerate_treatments(K), dtype=np.float64) - spec.delta.delta
     subsets = enumerate_subsets(K)
-    cols = [np.ones(data.N)]
-    for s in subsets:
-        cols.append(np.prod(shifted[:, list(s)], axis=1))
-    full = np.column_stack(cols)
+    rows = np.column_stack(
+        [np.ones(2 ** K)] + [np.prod(shifted[:, list(s)], axis=1) for s in subsets]
+    )
     included = set(spec.terms)
     is_plus = np.array([s in included for s in subsets])
     plus_pos, minus_pos = np.flatnonzero(is_plus), np.flatnonzero(~is_plus)
+    included_rows = rows[:, np.concatenate([[0], 1 + plus_pos])]
     return DesignMatrix(
-        spec,
-        full,
-        full[:, np.concatenate([[0], 1 + plus_pos])],
-        full[:, 1 + minus_pos],
-        plus_pos,
-        minus_pos,
+        spec, rows, included_rows, rows[:, 1 + minus_pos], plus_pos, minus_pos, data.cell
     )
 
 
@@ -149,18 +158,20 @@ class FitResult:
         }
 
 
-def _qr_solve(X):
-    """Pivoted-QR least squares with a rank check.
+def _qr_solve(X, weights):
+    """Pivoted QR of ``sqrt(weights) * X`` with a rank check.
 
-    Returns ``(solve, gram_inverse)``: ``solve(rhs)`` gives the coefficients
-    and ``gram_inverse()`` computes (X^T X)^{-1} from the same factors.
+    Returns ``(solve, gram_inverse)``: ``solve(rhs)`` gives the weighted
+    least-squares coefficients of an unscaled right-hand side (a vector or
+    one column each) and ``gram_inverse()`` computes (X^T W X)^{-1}.
     Raises RankDeficientError when the numerical rank at the relative
     tolerance falls short of the column count.
     """
     n, p = X.shape
     if n < p:
         raise RankDeficientError(f"{n} rows cannot identify {p} coefficients")
-    Q, R, piv = linalg.qr(X, mode="economic", pivoting=True)
+    sw = np.sqrt(weights)
+    Q, R, piv = linalg.qr((X.T * sw).T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     if diag[0] == 0.0 or (diag < RANK_RTOL * diag[0]).any():
         raise RankDeficientError("design matrix is rank deficient")
@@ -168,7 +179,7 @@ def _qr_solve(X):
     inv_perm[piv] = np.arange(p)
 
     def solve(rhs):
-        beta = linalg.solve_triangular(R, Q.T @ rhs)
+        beta = linalg.solve_triangular(R, Q.T @ (rhs.T * sw).T)
         return beta[inv_perm]
 
     def gram_inverse():
@@ -178,17 +189,27 @@ def _qr_solve(X):
     return solve, gram_inverse
 
 
-def _hc0(X, resid, gram_inv):
-    meat = X.T @ (X * (resid ** 2)[:, None])
-    return gram_inv @ meat @ gram_inv
+def _wls(rows, counts, means, ss, y, cell, terms=(), w=1.0):
+    """Least squares on cell rows with HC0, the kernel of every fit.
+
+    The N_z units of cell z share the row x_z and the weight w_z, with mean
+    ybar_z and within-cell sum of squares SS_z.  The HC0 meat
+    sum_z w_z^2 (SS_z + N_z (ybar_z - x_z^T beta)^2) x_z x_z^T is the unit-level
+    sum_i w_i^2 r_i^2 x_i x_i^T.  Returns the fit, with unit residuals
+    ``y - (X beta)[cell]``, and the weighted solve.
+    """
+    solve, gram_inverse = _qr_solve(rows, counts * w)
+    beta = solve(means)
+    fitted = rows @ beta
+    meat = rows.T @ (rows * (w * w * (ss + counts * (means - fitted) ** 2))[:, None])
+    bread = gram_inverse()
+    return FitResult(tuple(terms), beta, y - fitted[cell], bread @ meat @ bread), solve
 
 
 def ols_fit(X, y, terms=()):
-    """Plain least squares on an explicit design matrix, with HC0."""
-    solve, gram_inverse = _qr_solve(X)
-    beta = solve(y)
-    resid = y - X @ beta
-    return FitResult(tuple(terms), beta, resid, _hc0(X, resid, gram_inverse()))
+    """Plain least squares with HC0 on an explicit design matrix, each row its own cell."""
+    y = np.asarray(y, dtype=np.float64)
+    return _wls(X, 1.0, y, 0.0, y, np.arange(y.size), terms)[0]
 
 
 def treatment_based_fit(data, check_tol=1e-8):
@@ -200,9 +221,7 @@ def treatment_based_fit(data, check_tol=1e-8):
     bug.  Returns (coefficients, HC0 covariance).
     """
     est = moment_estimates(data)
-    X = np.zeros((data.N, data.spec.Q))
-    X[np.arange(data.N), data.cell] = 1.0
-    fit = ols_fit(X, data.outcome)
+    fit = ols_fit(np.eye(data.spec.Q)[data.cell], data.outcome)
     if rel_err(fit.coefficients, est.y_hat) > check_tol:
         raise IdentityViolationError("treatment-based coefficients != cell means")
     expected_v0 = np.diag((1.0 - 1.0 / est.counts) * est.v_hat)
@@ -218,48 +237,40 @@ def saturated_fit(data, delta):
     errors of the two coefficient/covariance identities against the moment
     estimator under the product scheme built from delta.  The covariance
     identity needs N_z >= 2 in every cell and is skipped (recorded as None)
-    otherwise.
+    otherwise.  An empty cell makes the design rank deficient.
     """
     spec = saturated_spec(delta)
-    design = build_design(data, spec)
-    fit = ols_fit(design.included, data.outcome, spec.terms)
+    counts, means, ss = _cell_moments(data)
+    rows = build_design(data, spec).rows
+    fit = _wls(rows, counts, means, ss, data.outcome, data.cell, spec.terms)[0]
     G = contrast_matrix(product_scheme(spec.delta), spec.K).matrix
-    summary = cell_summary(data, variances=False)
-    verification = {
-        "coef_rel_err": rel_err(fit.coef_noint, G @ summary.means),
-        "cov_rel_err": None,
-    }
+    verification = {"coef_rel_err": rel_err(fit.coef_noint, G @ means), "cov_rel_err": None}
     ok = verification["coef_rel_err"] <= IDENTITY_RTOL
-    if (summary.counts >= 2).all():
-        v_hat = summary.variances / summary.counts
-        psi = (G * v_hat) @ G.T - (G * (v_hat / summary.counts)) @ G.T
+    if (counts >= 2).all():
+        v_hat = ss / (counts - 1) / counts
+        psi = (G * v_hat) @ G.T - (G * (v_hat / counts)) @ G.T
         verification["cov_rel_err"] = rel_err(fit.robust_cov_noint, psi)
         ok = ok and verification["cov_rel_err"] <= IDENTITY_RTOL
     if not ok:
-        raise IdentityViolationError(
-            f"saturated-fit identities violated: {verification}"
-        )
+        raise IdentityViolationError(f"saturated-fit identities violated: {verification}")
     return fit, verification
 
 
 def unsaturated_fit(data, spec):
     """Least squares on the included terms only, with HC0."""
-    design = build_design(data, spec)
-    return ols_fit(design.included, data.outcome, spec.terms)
+    rows = build_design(data, spec).included_rows
+    return _wls(rows, *_cell_moments(data), data.outcome, data.cell, spec.terms)[0]
 
 
 def wls_fit(data, spec):
-    """Weighted least squares with unit weights 1/N_{Z_i}.
+    """Weighted least squares with unit weights 1/N_{Z_i}, so each cell weighs one.
 
-    Ordinary least squares on rows scaled by sqrt(w_i).  HC0 on those rows
-    is the weighted sandwich with meat sum_i w_i^2 r_i^2 x_i x_i^T; the
-    returned residuals are the unscaled y - X beta.
+    HC0 is the weighted sandwich; the residuals are the unweighted y - X beta.
     """
-    counts = np.bincount(data.cell, minlength=data.spec.Q)
-    sw = np.sqrt(1.0 / counts[data.cell].astype(np.float64))
-    X = build_design(data, spec).included
-    fit = ols_fit(X * sw[:, None], data.outcome * sw, spec.terms)
-    return replace(fit, residuals=data.outcome - X @ fit.coefficients)
+    counts, means, ss = _cell_moments(data)
+    rows = build_design(data, spec).included_rows
+    w = 1.0 / np.maximum(counts, 1)
+    return _wls(rows, counts, means, ss, data.outcome, data.cell, spec.terms, w)[0]
 
 
 @dataclass(frozen=True)
@@ -271,63 +282,61 @@ class OmittedTermAlgebra:
     """
 
     phi: np.ndarray  # (1 + #included) x #omitted
-    residual_matrix: np.ndarray  # N x #omitted
     d: np.ndarray  # #included x #omitted
 
 
-def omitted_algebra(design):
-    """Phi, the residual matrix, and D for a given design.
-
-    Needs only the included columns to have full rank; the residual matrix
-    may be rank deficient.  Phi is a deterministic function of the cell
-    proportions alone, so it is unchanged when every unit is duplicated.
-    """
-    if design.omitted.shape[1] == 0:
+def _omitted(solve, design):
+    """Phi and D from a factorisation of the count-weighted included rows."""
+    if design.omitted_pos.size == 0:
         raise ValueError("model is saturated; nothing is omitted")
-    solve, _ = _qr_solve(design.included)
-    phi = solve(design.omitted)
-    resid = design.omitted - design.included @ phi
-    return OmittedTermAlgebra(phi, resid, phi[1:, :])
+    phi = solve(design.omitted_rows)
+    return OmittedTermAlgebra(phi, phi[1:, :])
+
+
+def omitted_algebra(design):
+    """Phi and D for a given design, by count-weighted cell rows.
+
+    Needs only the included columns to have full rank.  Phi is a function
+    of the cell proportions alone, so duplicating every unit keeps it.
+    """
+    counts = np.bincount(design.cell, minlength=design.rows.shape[0])
+    return _omitted(_qr_solve(design.included_rows, counts)[0], design)
 
 
 def verify_omitted_relation(data, spec):
     """Check the unsaturated/saturated coefficient relation and its criteria.
 
-    Builds the design once, solves the saturated coefficients on all its
-    columns and fits the unsaturated model on the included ones.  Reports
-    the max relative error of
-    ``coef(unsaturated) = coef(saturated, included) + D @ coef(saturated, omitted)``
-    together with the two sufficient orthogonality conditions and the exact
-    vanishing criterion ``F_+^T (F_- - mean F_-) gamma_-`` for the correction
-    term.  By Frisch-Waugh-Lovell the saturated omitted coefficients
-    ``gamma_-`` equal ``(R^T R)^{-1} R^T y`` for the residual matrix R of the
-    omitted columns on the included ones, so the criterion reuses them.
-    As rank([F_+ F_-]) = rank(F_+) + rank(R), the rank check of the full
-    design also guards R.  The unsaturated ``FitResult`` is under ``fit``.
+    Factors the cell rows twice: all of them for the saturated coefficients
+    gamma, the included ones for the unsaturated fit (under ``fit``) and Phi.
+    Reports the max relative error of
+    ``coef(unsaturated) = coef(saturated, included) + D @ coef(saturated, omitted)``,
+    the two sufficient orthogonality conditions and the exact vanishing
+    criterion ``F_+^T (F_- - mean F_-) gamma_-``, with
+    ``F_+^T F_- = X_+^T diag(N_z) X_-``.  As rank([F_+ F_-]) = rank(F_+) +
+    rank(R) for the residual matrix R of F_- on F_+, the full-design rank
+    check also guards R.
     """
     design = build_design(data, spec)
-    gamma = _qr_solve(design.full)[0](data.outcome)[1:]
-    uns_fit = ols_fit(design.included, data.outcome, spec.terms)
-    algebra = omitted_algebra(design)
+    counts, means, ss = _cell_moments(data)
+    gamma = _qr_solve(design.rows, counts)[0](means)[1:]
+    rows = design.included_rows
+    uns_fit, solve = _wls(rows, counts, means, ss, data.outcome, data.cell, spec.terms)
+    algebra = _omitted(solve, design)
+    gamma_plus, gamma_minus = gamma[design.included_pos], gamma[design.omitted_pos]
 
-    gamma_plus = gamma[design.included_pos]
-    gamma_minus = gamma[design.omitted_pos]
-    predicted = gamma_plus + algebra.d @ gamma_minus
-
-    F_plus = design.included
-    F_minus = design.omitted
-    centered_minus = F_minus - F_minus.mean(axis=0)
+    # F_+^T as cell sums, and F_- centred at its count-weighted mean
+    weighted_plus = rows.T * counts
+    X_minus = design.omitted_rows
+    centered_minus = X_minus - counts @ X_minus / counts.sum()
     report = {
         "fit": uns_fit,
-        "relation_rel_err": rel_err(uns_fit.coef_noint, predicted),
+        "relation_rel_err": rel_err(uns_fit.coef_noint, gamma_plus + algebra.d @ gamma_minus),
         "correction": algebra.d @ gamma_minus,
-        "orthogonal_raw": float(np.abs(F_plus.T @ F_minus).max()),
-        "orthogonal_centered": float(np.abs(F_plus.T @ centered_minus).max()),
-        "exact_criterion": F_plus[:, 1:].T @ centered_minus @ gamma_minus,
+        "orthogonal_raw": float(np.abs(weighted_plus @ X_minus).max()),
+        "orthogonal_centered": float(np.abs(weighted_plus @ centered_minus).max()),
+        "exact_criterion": weighted_plus[1:] @ centered_minus @ gamma_minus,
         "unsaturated_coef": uns_fit.coef_noint,
         "saturated_plus_coef": gamma_plus,
-        "saturated_minus_coef": gamma_minus,
-        "d": algebra.d,
     }
     report["pass"] = report["relation_rel_err"] <= IDENTITY_RTOL
     return report

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import special
 
 from .contrasts import contrast_matrix
-from .core import AssignmentTable, default_spec, enumerate_treatments
+from .core import AssignmentTable, _cell_moments, default_spec, enumerate_treatments
 from .errors import (
     EstimatorFailureError,
     Factorial2kError,
@@ -358,28 +358,30 @@ def unsaturated_moment_map(data, spec):
 def compare_saturated_unsaturated(table, sizes, spec):
     """Exact covariance ordering between saturated and unsaturated fits.
 
-    Enumerates all assignments once, solving both models' coefficients on
-    one design per assignment, and reports exact covariances of the
-    included saturated coefficients and the unsaturated coefficients,
-    whether their difference is PSD, and the closed-form covariance of the
-    unsaturated coefficients computed from the potential outcomes.
+    Every assignment has the same cell rows and sizes, so both models are
+    factored once and each enumerated assignment solves their coefficients
+    from its cell means.  Reports exact covariances of the included
+    saturated and the unsaturated coefficients, whether their difference is
+    PSD, and the closed-form unsaturated covariance from the potential
+    outcomes.
     """
     fspec = default_spec(table.K)
     p = len(spec.terms)
+    reference = observe(table, draw_assignment(sizes, np.random.default_rng(0)), fspec)
+    design = build_design(reference, spec)
+    solve_sat = _qr_solve(design.rows, sizes.sizes)[0]
+    solve_uns = _qr_solve(design.included_rows, sizes.sizes)[0]
 
     def both(data):
-        design = build_design(data, spec)
-        sat = _qr_solve(design.full)[0](data.outcome)[1:][design.included_pos]
-        uns = _qr_solve(design.included)[0](data.outcome)[1:]
-        return np.concatenate([sat, uns])
+        means = _cell_moments(data)[1]
+        sat = solve_sat(means)[1:][design.included_pos]
+        return np.concatenate([sat, solve_uns(means)[1:]])
 
     mean, cov = exact_expectations(table, sizes, both, fspec)
     mean_sat, mean_uns = mean[:p], mean[p:]
     cov_sat, cov_uns = cov[:p, :p], cov[p:, p:]
 
     # closed-form covariance from the potential outcomes
-    rng = np.random.default_rng(0)
-    reference = observe(table, draw_assignment(sizes, rng), fspec)
     J = unsaturated_moment_map(reference, spec)
     G = contrast_matrix(product_scheme(spec.delta), spec.K).matrix
     JG = J @ G

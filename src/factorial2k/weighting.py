@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import enumerate_treatments
 from .errors import InvalidMassError
 
 NORMALIZATION_TOL = 1e-12
@@ -114,21 +113,3 @@ def pi_cross(scheme):
 def is_product(scheme, tol=1e-9):
     """True iff the joint factorizes over factors within ``tol`` (max abs)."""
     return float(np.max(np.abs(scheme.joint - pi_cross(scheme).joint))) <= tol
-
-
-def scheme_to_dict(scheme):
-    """JSON-friendly form: level strings like "01" mapped to joint weights."""
-    cells = enumerate_treatments(scheme.K)
-    return {"".join(map(str, z)): float(w) for z, w in zip(cells, scheme.joint)}
-
-
-def scheme_from_dict(payload, K):
-    """Inverse of :func:`scheme_to_dict`."""
-    cells = enumerate_treatments(K)
-    mass = np.zeros(2 ** K)
-    for i, z in enumerate(cells):
-        key = "".join(map(str, z))
-        if key not in payload:
-            raise InvalidMassError(f"missing weight for cell {key}")
-        mass[i] = float(payload[key])
-    return WeightingScheme(K, mass)

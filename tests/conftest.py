@@ -30,16 +30,16 @@ def make_dataset(K, sizes, outcome_fn, rng=None):
 
 
 def spy_calls(monkeypatch, module, name):
-    """Count calls to ``factorial2k.<module>.<name>`` through every bound name.
+    """Record the positional arguments of every call to ``factorial2k.<module>.<name>``.
 
     Modules import layer functions by name, so every factorial2k module that
-    holds the function gets the counting wrapper.
+    holds the function gets the recording wrapper.
     """
     original = getattr(importlib.import_module(f"factorial2k.{module}"), name)
     calls = []
 
     def spy(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):

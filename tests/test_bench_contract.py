@@ -9,10 +9,14 @@ import importlib
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import factorial2k
 from factorial2k.contrasts import contrast_matrix
+from factorial2k.core import FactorSpec, ingest_csv
+from factorial2k.regression import ols_fit
+from factorial2k.simulate import DesignSizes, PotentialOutcomeTable, monte_carlo
 from factorial2k.weighting import equal_scheme
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -42,3 +46,30 @@ def test_trace_target_resolves(module_name, attr):
 def test_contrast_sweep_and_reference_names():
     assert contrast_matrix(equal_scheme(3), 3).matrix.shape == (7, 8)
     assert factorial2k.regression.IDENTITY_RTOL > 0
+
+
+def test_span_attributes_read_real_results(tmp_path):
+    # every span that carries attributes, called as the traced pass calls it
+    attrs = _load_tracing()._attrs
+    path = tmp_path / "data.csv"
+    path.write_text("A,B,Y\n0,0,1\n0,1,2\n1,0,3\n1,1,4\n1,1,5\n")
+    args = (str(path), FactorSpec(("A", "B")))
+    kwargs = {"outcome_col": "Y"}
+    assert attrs("core.ingest_csv", ingest_csv, args, kwargs, ingest_csv(*args, **kwargs)) == {
+        "rows": 5
+    }
+    args = (equal_scheme(3), 3)
+    assert attrs("contrasts.contrast_matrix", contrast_matrix, args, {}, contrast_matrix(*args)) == {
+        "entries": 56
+    }
+    args = (np.column_stack([np.ones(6), np.arange(6.0)]), np.arange(6.0) ** 2)
+    assert attrs("regression.ols_fit", ols_fit, args, {}, ols_fit(*args)) == {"design_bytes": 96}
+    table = PotentialOutcomeTable(np.arange(32.0).reshape(8, 4) % 5)
+    args = (table, DesignSizes(np.full(4, 2)), lambda d: d.outcome[:2])
+    kwargs = {"reps": 3, "seed": 1, "workers": 2}
+    report = monte_carlo(*args, **kwargs)
+    assert attrs("simulate.monte_carlo", monte_carlo, args, kwargs, report) == {
+        "workers": 2,
+        "reps": 3,
+        "failures": 0,
+    }

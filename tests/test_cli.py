@@ -116,9 +116,21 @@ def test_analyze_model_builds_one_design_and_two_fits(csv_2x2, tmp_path, monkeyp
     )
     assert code == EXIT_OK
     assert payload["verification"]["pass"] is True
-    # the saturated fit solves coefficients only; HC0 comes from the one ols_fit
-    assert (len(designs), len(fits), len(refits)) == (1, 1, 0)
-    assert len(factorisations) == 3
+    # the saturated fit solves coefficients only; the included-row factorisation
+    # gives the unsaturated fit and Phi; no unit-row fit
+    assert (len(designs), len(fits), len(refits)) == (1, 0, 0)
+    assert len(factorisations) == 2
+
+
+@pytest.mark.parametrize("model, factorisations", [([], 1), (["--model", "A,B"], 2)])
+def test_analyze_factors_cell_rows_only(csv_2x2, tmp_path, monkeypatch, model, factorisations):
+    # 8 units in 4 cells: every least-squares matrix has one row per cell
+    solves = spy_calls(monkeypatch, "regression", "_qr_solve")
+    fits = spy_calls(monkeypatch, "regression", "ols_fit")
+    code, _ = run_cli(["analyze", "--input", csv_2x2, "--factors", "A,B", *model], tmp_path)
+    assert code == EXIT_OK
+    assert fits == []
+    assert [args[0].shape[0] for args in solves] == [4] * factorisations
 
 
 def test_analyze_rejects_too_many_factors(csv_2x2, tmp_path, monkeypatch, capsys):
@@ -142,6 +154,30 @@ def test_analyze_bad_delta_length(csv_2x2, tmp_path):
         tmp_path,
     )
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("alpha", ["1.5", "1", "0", "-0.1"])
+def test_alpha_outside_unit_interval(csv_2x2, tmp_path, capsys, command, alpha):
+    requests = {
+        "analyze": ["analyze", "--input", csv_2x2, "--factors", "A,B"],
+        "simulate": ["simulate", "--population", "constant", "--sizes", "2,2,2,2", "--reps", "5"],
+    }
+    code, payload = run_cli(requests[command] + ["--alpha", alpha], tmp_path)
+    assert code == EXIT_VALIDATION
+    assert payload is None
+    assert capsys.readouterr().err.startswith("error: --alpha")
+
+
+@pytest.mark.parametrize("delta", ["0.5", "0.5,0.5,0.5"])
+def test_simulate_bad_delta_length(tmp_path, capsys, delta):
+    code, payload = run_cli(
+        ["simulate", "--population", "constant", "--sizes", "2,2,2,2", "--delta", delta],
+        tmp_path,
+    )
+    assert code == EXIT_VALIDATION
+    assert payload is None
+    assert capsys.readouterr().err.startswith("error: --delta needs 2 values")
 
 
 def test_analyze_missing_input_file(tmp_path, capsys):

@@ -156,7 +156,8 @@ def test_omitted_algebra_balanced_half_shift_zero():
     algebra = omitted_algebra(design)
     np.testing.assert_allclose(algebra.d, np.zeros_like(algebra.d), atol=1e-14)
     # included columns orthogonal to the residual matrix
-    assert np.abs(design.included.T @ algebra.residual_matrix).max() <= 1e-9
+    residual_matrix = design.omitted - design.included @ algebra.phi
+    assert np.abs(design.included.T @ residual_matrix).max() <= 1e-9
 
 
 def test_omitted_algebra_duplication_invariance():
@@ -266,7 +267,7 @@ def test_exact_criterion_matches_residual_regression_oracle(K):
         spec = ModelSpec(rng.uniform(0, 1, K), tuple(all_terms[i] for i in chosen))
         report = verify_omitted_relation(data, spec)
         design = build_design(data, spec)
-        R = omitted_algebra(design).residual_matrix
+        R = design.omitted - design.included @ omitted_algebra(design).phi
         centered = design.omitted - design.omitted.mean(axis=0)
         oracle = (
             design.included[:, 1:].T
@@ -293,6 +294,37 @@ def test_wls_weighted_sandwich_oracle():
     np.testing.assert_allclose(fit.coefficients, beta, rtol=1e-10)
     np.testing.assert_allclose(fit.residuals, resid, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(fit.robust_cov, bread @ xw.T @ xw @ bread, rtol=1e-10)
+
+
+def _assert_matches_unit_rows(data, spec, fit, weights):
+    # oracle: least squares on the explicit N-row design, sqrt(w)-scaled for WLS
+    X = build_design(data, spec).included
+    sw = np.sqrt(weights)
+    oracle = ols_fit(X * sw[:, None], data.outcome * sw)
+    assert rel_err(fit.coefficients, oracle.coefficients) <= 1e-10
+    assert rel_err(fit.robust_cov, oracle.robust_cov) <= 1e-10
+    assert rel_err(fit.residuals, data.outcome - X @ oracle.coefficients) <= 1e-10
+
+
+@pytest.mark.parametrize("layout", ["random", "singletons", "empty_cell"])
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_cell_level_fits_match_unit_row_ols(K, layout):
+    rng = np.random.default_rng(70 + K)
+    sizes = rng.integers(2, 7, size=2 ** K)
+    if layout == "singletons":
+        sizes[::2] = 1
+    if layout == "empty_cell":
+        sizes[-1] = 0
+    data = make_dataset(K, sizes, lambda c, r: c + r.normal(), rng)
+    delta = rng.uniform(0, 1, K)
+    spec = additive_spec(delta)
+    unit_w = 1.0 / np.bincount(data.cell)[data.cell]
+    _assert_matches_unit_rows(data, spec, unsaturated_fit(data, spec), np.ones(data.N))
+    _assert_matches_unit_rows(data, spec, wls_fit(data, spec), unit_w)
+    if layout == "random":
+        sat = saturated_spec(delta)
+        _assert_matches_unit_rows(data, sat, saturated_fit(data, delta)[0], np.ones(data.N))
+        _assert_matches_unit_rows(data, sat, wls_fit(data, sat), unit_w)
 
 
 def test_wls_balanced_equals_ols():

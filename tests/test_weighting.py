@@ -13,7 +13,7 @@ from factorial2k import (
 )
 from factorial2k.core import AssignmentTable
 from factorial2k.errors import InvalidMassError
-from factorial2k.weighting import ShiftVector, scheme_from_dict, scheme_to_dict
+from factorial2k.weighting import ShiftVector
 
 
 def test_from_joint_uniform_marginals():
@@ -133,11 +133,3 @@ def test_tower_rule():
     # marginal over (0,) from the joint equals row-sums of the (0,1) marginal
     pair = s.marginal((0, 1)).reshape(2, 2)
     np.testing.assert_allclose(pair.sum(axis=1), s.marginal((0,)), atol=1e-15)
-
-
-def test_scheme_dict_roundtrip():
-    s = from_joint([0.1, 0.2, 0.3, 0.4])
-    payload = scheme_to_dict(s)
-    assert payload["11"] == 0.4
-    back = scheme_from_dict(payload, 2)
-    np.testing.assert_allclose(back.joint, s.joint)
