@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .contrasts import contrast_matrix
-from .core import cell_summary, default_spec, ingest_csv, parse_subset_label, FactorSpec
+from .core import cell_summary, ingest_csv, parse_subset_label, FactorSpec
 from .errors import (
     Factorial2kError,
     IdentityViolationError,
@@ -23,7 +23,7 @@ from .errors import (
     RankDeficientError,
     TooManyAssignmentsError,
 )
-from .estimation import effect_estimates, moment_estimates
+from .estimation import effect_estimates
 from .regression import IDENTITY_RTOL, ModelSpec, saturated_fit, verify_omitted_relation
 from .simulate import (
     DesignSizes,
@@ -148,28 +148,25 @@ def _load_population(args, sizes):
 def cmd_simulate(args):
     sizes = DesignSizes(np.array([int(s) for s in args.sizes.split(",")]))
     table = _load_population(args, sizes)
-    if table.N != sizes.N:
-        raise ParseError("population size and design sizes disagree")
+    if (table.N, table.Q) != (sizes.N, sizes.Q):
+        raise ParseError(
+            f"population has {table.N} units and {table.Q} cells, "
+            f"--sizes gives {sizes.N} units in {sizes.Q} cells"
+        )
     K = table.K
-    fspec = default_spec(K)
     if args.delta:
         scheme = product_scheme(_parse_floats(args.delta, K, "--delta"))
     else:
         scheme = equal_scheme(K)
     ybar = table.means
+    # the moment estimator G Yhat, evaluated on blocks of assignments
     G = contrast_matrix(scheme, K).matrix
     truth = G @ ybar
-
-    def estimator(data):
-        est = moment_estimates(data)
-        return G @ est.y_hat, (G * est.v_hat) @ G.T
 
     count = sizes.assignment_count()
     payload = {"config": _run_config(args), "truth": truth.tolist()}
     if args.exact and count <= ENUMERATION_GUARD:
-        mean, cov = exact_expectations(
-            table, sizes, lambda d: G @ moment_estimates(d).y_hat, fspec
-        )
+        mean, cov = exact_expectations(table, sizes, G)
         bias = float(np.abs(mean - truth).max())
         # rounding in the estimates grows with the outcome scale, not the effects
         tol = IDENTITY_RTOL * float(np.abs(ybar).max())
@@ -194,7 +191,7 @@ def cmd_simulate(args):
     report = monte_carlo(
         table,
         sizes,
-        estimator,
+        G,
         reps=args.reps,
         seed=args.seed,
         truth=truth,

@@ -94,13 +94,23 @@ class ContrastMatrix:
 
 
 def contrast_matrix(scheme, K):
-    """Stack general-effect rows over the canonical subset order."""
+    """Stack general-effect rows over the canonical subset order.
+
+    Built once per scheme and cached on it, like its marginals; the matrix
+    is read-only.
+    """
     _check_K(K)
     if scheme.K != K:
         raise DimensionMismatchError("scheme and K disagree")
-    subsets = tuple(enumerate_subsets(K))
-    weights = [_complement_weights(s, scheme) for s in subsets]
-    rows = _sign_formula(subsets, weights, K)
+    # the cache holds no ContrastMatrix: one would hold the scheme back, and
+    # the reference cycle would keep G alive until a full garbage collection
+    if "contrast_matrix" not in scheme._cache:
+        subsets = tuple(enumerate_subsets(K))
+        weights = [_complement_weights(s, scheme) for s in subsets]
+        rows = _sign_formula(subsets, weights, K)
+        rows.setflags(write=False)
+        scheme._cache["contrast_matrix"] = subsets, rows
+    subsets, rows = scheme._cache["contrast_matrix"]
     return ContrastMatrix(K, rows, subsets, scheme)
 
 

@@ -143,13 +143,24 @@ class CellSummary:
         return self.counts / self.N
 
 
-def _cell_moments(data):
-    """Counts, means and within-cell sums of squares per cell; zeros for an empty cell."""
-    Q = data.spec.Q
-    counts = np.bincount(data.cell, minlength=Q)
-    means = np.bincount(data.cell, weights=data.outcome, minlength=Q) / np.maximum(counts, 1)
-    deviation = data.outcome - means[data.cell]
-    return counts, means, np.bincount(data.cell, weights=deviation ** 2, minlength=Q)
+def _cell_moments(cells, outcomes, Q):
+    """Counts, means and within-cell sums of squares per cell; zeros for an empty cell.
+
+    ``cells`` (indices in 0..Q-1) and ``outcomes`` have shape (N,) for one
+    table or (B, N) for a block of B assignments; the results have shape
+    (Q,) or (B, Q).  Row b of a block uses bins b*Q .. b*Q + Q - 1 of one
+    bincount, so each row's sums run in unit order, as for that row alone.
+    """
+    cells = np.asarray(cells)
+    rows = 1 if cells.ndim == 1 else cells.shape[0]
+    shape = cells.shape[:-1] + (Q,)
+    flat = (cells.reshape(rows, -1) + Q * np.arange(rows)[:, None]).ravel()
+    y = np.asarray(outcomes, dtype=np.float64).ravel()
+    counts = np.bincount(flat, minlength=rows * Q)
+    means = np.bincount(flat, weights=y, minlength=rows * Q) / np.maximum(counts, 1)
+    deviation = y - means[flat]
+    ss = np.bincount(flat, weights=deviation ** 2, minlength=rows * Q)
+    return counts.reshape(shape), means.reshape(shape), ss.reshape(shape)
 
 
 def cell_summary(data, variances=True):
@@ -159,7 +170,7 @@ def cell_summary(data, variances=True):
     unit has a NaN variance, or raises SingletonCellError when
     ``variances`` are required.
     """
-    counts, means, ss = _cell_moments(data)
+    counts, means, ss = _cell_moments(data.cell, data.outcome, data.spec.Q)
     if (counts == 0).any():
         raise EmptyCellError(f"cells with no units: {np.flatnonzero(counts == 0).tolist()}")
     if variances and (counts < 2).any():

@@ -240,7 +240,7 @@ def saturated_fit(data, delta):
     otherwise.  An empty cell makes the design rank deficient.
     """
     spec = saturated_spec(delta)
-    counts, means, ss = _cell_moments(data)
+    counts, means, ss = _cell_moments(data.cell, data.outcome, data.spec.Q)
     rows = build_design(data, spec).rows
     fit = _wls(rows, counts, means, ss, data.outcome, data.cell, spec.terms)[0]
     G = contrast_matrix(product_scheme(spec.delta), spec.K).matrix
@@ -259,7 +259,8 @@ def saturated_fit(data, delta):
 def unsaturated_fit(data, spec):
     """Least squares on the included terms only, with HC0."""
     rows = build_design(data, spec).included_rows
-    return _wls(rows, *_cell_moments(data), data.outcome, data.cell, spec.terms)[0]
+    moments = _cell_moments(data.cell, data.outcome, data.spec.Q)
+    return _wls(rows, *moments, data.outcome, data.cell, spec.terms)[0]
 
 
 def wls_fit(data, spec):
@@ -267,7 +268,7 @@ def wls_fit(data, spec):
 
     HC0 is the weighted sandwich; the residuals are the unweighted y - X beta.
     """
-    counts, means, ss = _cell_moments(data)
+    counts, means, ss = _cell_moments(data.cell, data.outcome, data.spec.Q)
     rows = build_design(data, spec).included_rows
     w = 1.0 / np.maximum(counts, 1)
     return _wls(rows, counts, means, ss, data.outcome, data.cell, spec.terms, w)[0]
@@ -317,7 +318,7 @@ def verify_omitted_relation(data, spec):
     check also guards R.
     """
     design = build_design(data, spec)
-    counts, means, ss = _cell_moments(data)
+    counts, means, ss = _cell_moments(data.cell, data.outcome, data.spec.Q)
     gamma = _qr_solve(design.rows, counts)[0](means)[1:]
     rows = design.included_rows
     uns_fit, solve = _wls(rows, counts, means, ss, data.outcome, data.cell, spec.terms)

@@ -9,6 +9,7 @@ to enumerate.
 
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 import math
 
 import numpy as np
@@ -25,6 +26,8 @@ from .regression import _qr_solve, build_design, omitted_algebra
 from .weighting import product_scheme
 
 ENUMERATION_GUARD = 10 ** 7
+# bound on B * N, the cells of one block of B assignments of N units
+BLOCK_ELEMENTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -40,11 +43,18 @@ class PotentialOutcomeTable:
         K = int(round(np.log2(v.shape[1])))
         if 2 ** K != v.shape[1]:
             raise ValueError("column count must be a power of two")
+        if not np.isfinite(v).all():
+            i, j = np.argwhere(~np.isfinite(v))[0]
+            raise ValueError(f"potential outcomes must be finite; values[{i}, {j}] is {v[i, j]}")
         object.__setattr__(self, "values", v)
 
     @property
     def N(self):
         return self.values.shape[0]
+
+    @property
+    def Q(self):
+        return self.values.shape[1]
 
     @property
     def K(self):
@@ -144,40 +154,122 @@ def enumerate_assignments(sizes):
     return rec(0)
 
 
+def _block_evaluator(table, sizes, estimator, spec):
+    """Map a (B, N) block of cell assignments to its estimates.
+
+    Returns ``(estimates, failures, variances, cov_sum)``: the estimates of
+    the assignments on which the estimator succeeded, in block order, the
+    number on which it raised a package error, and, when the estimator
+    gives covariances, their diagonals and their sum (else None).
+    """
+    if table.values.shape != (sizes.N, sizes.Q):
+        raise ValueError(
+            f"population is {table.N} x {table.Q} but the design has "
+            f"{sizes.N} units in {sizes.Q} cells"
+        )
+    if not callable(estimator):
+        M = np.asarray(estimator, dtype=np.float64)
+        units = np.arange(table.N)
+
+        def moments(cells):
+            counts, means, ss = _cell_moments(cells, table.values[units, cells], table.Q)
+            v = ss / (counts - 1) / counts
+            return means @ M.T, 0, v @ (M * M).T, (M * v.sum(axis=0)) @ M.T
+
+        return moments
+
+    spec = spec or default_spec(table.K)
+
+    def per_table(cells):
+        estimates, variances, failures, cov_sum = [], [], 0, 0.0
+        for row in cells:
+            try:
+                out = estimator(observe(table, row, spec))
+            except Factorial2kError:
+                failures += 1
+                continue
+            if isinstance(out, tuple):
+                out, cov = out
+                cov = np.asarray(cov, dtype=np.float64)
+                variances.append(np.diag(cov))
+                cov_sum = cov_sum + cov
+            estimates.append(np.asarray(out, dtype=np.float64).ravel())
+        if estimates and len(variances) == len(estimates):
+            return np.array(estimates), failures, np.array(variances), cov_sum
+        return np.array(estimates), failures, None, None
+
+    return per_table
+
+
+def _drive(blocks, evaluate, workers=1, truth=None, alpha=0.05):
+    """Evaluate blocks of assignments and reduce them in replicate order.
+
+    ``workers`` threads evaluate the blocks when there is more than one
+    (``blocks`` is then a list); the block boundaries are the caller's, so
+    the result does not depend on the worker count.  Means and covariances
+    accumulate deviations from the first estimate, which keeps them exact
+    under a large common offset.
+    Returns ``(n, failures, mean, cov, mean_cov, coverage)``; the last two
+    are None without covariances, and coverage also without ``truth``.
+    """
+    if workers > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(evaluate, blocks))
+    else:
+        results = map(evaluate, blocks)
+    zq = special.ndtri(1.0 - alpha / 2.0)
+    n = failures = 0
+    origin, cov_sum, have_cov = None, 0.0, True
+    for est, failed, var, cov_part in results:
+        failures += failed
+        if not est.size:
+            continue
+        if origin is None:
+            origin = est[0]
+            acc = np.zeros_like(origin)
+            acc_sq = np.zeros((origin.size, origin.size))
+            hits = np.zeros(origin.size)
+        dev = est - origin
+        acc += dev.sum(axis=0)
+        acc_sq += dev.T @ dev
+        n += est.shape[0]
+        have_cov = have_cov and cov_part is not None
+        if have_cov:
+            cov_sum = cov_sum + cov_part
+            if truth is not None:
+                hits += (np.abs(est - truth) <= zq * np.sqrt(np.clip(var, 0.0, None))).sum(axis=0)
+    if not n:
+        return 0, failures, None, None, None, None
+    shift = acc / n
+    mean, cov = origin + shift, acc_sq / n - np.outer(shift, shift)
+    mean_cov = cov_sum / n if have_cov else None
+    coverage = hits / n if have_cov and truth is not None else None
+    return n, failures, mean, cov, mean_cov, coverage
+
+
 def exact_expectations(table, sizes, estimator, spec=None):
     """Exact design-based mean and covariance of an estimator.
 
-    ``estimator`` maps an AssignmentTable to a flat vector.  Assignments on
-    which the estimator raises a package error are counted and reported via
+    ``estimator`` is a (P, Q) matrix M, the moment estimator M Yhat of the
+    cell means, or a callable mapping an AssignmentTable to a flat vector.
+    Every assignment is enumerated, in blocks of at most BLOCK_ELEMENTS
+    cells: M is applied to a whole block's cell means from one cell-moment
+    pass, a callable to ``observe`` of each assignment.  Assignments on
+    which a callable raises a package error are counted and reported via
     EstimatorFailureError; exact moments are undefined in that case rather
-    than silently conditioned on success.
+    than silently conditioned on success.  (M Yhat cannot fail: every cell
+    of a design holds at least two units.)
     """
-    spec = spec or default_spec(table.K)
-    total = 0
-    failures = 0
-    origin = None
-    for cells in enumerate_assignments(sizes):
-        total += 1
-        try:
-            value = np.asarray(estimator(observe(table, cells, spec)), dtype=np.float64).ravel()
-        except Factorial2kError:
-            failures += 1
-            continue
-        if origin is None:
-            # sums of deviations from one attained value keep the covariance
-            # exact when the outcomes carry a large common offset
-            origin = value
-            acc = np.zeros_like(value)
-            acc_sq = np.zeros((value.size, value.size))
-        dev = value - origin
-        acc += dev
-        acc_sq += np.outer(dev, dev)
+    evaluate = _block_evaluator(table, sizes, estimator, spec)
+    assignments = enumerate_assignments(sizes)
+    rows = max(1, BLOCK_ELEMENTS // sizes.N)
+    blocks = map(np.array, iter(lambda: list(islice(assignments, rows)), []))
+    n, failures, mean, cov, _, _ = _drive(blocks, evaluate)
     if failures:
         raise EstimatorFailureError(
-            f"estimator failed on {failures} of {total} assignments", failures
+            f"estimator failed on {failures} of {n + failures} assignments", failures
         )
-    shift = acc / total
-    return origin + shift, acc_sq / total - np.outer(shift, shift)
+    return mean, cov
 
 
 @dataclass(frozen=True)
@@ -230,69 +322,41 @@ def monte_carlo(
 ):
     """Monte Carlo design-based moments of an estimator over random draws.
 
-    ``estimator`` maps an AssignmentTable to either a flat vector or a pair
-    ``(estimate, covariance)``.  When a covariance is returned and ``truth``
-    is given, per-component Wald CI coverage at level ``alpha`` is recorded.
-    The report is bit-identical for a fixed (seed, reps) regardless of the
-    worker count: replicate r draws from a seed derived from (seed, r) and
-    results are reduced in replicate order.
+    ``estimator`` takes one of two forms:
+
+    * a (P, Q) matrix M, the moment estimator M Yhat of the cell means with
+      the conservative covariance M diag(Vhat) M^T, Vhat_z = SS_z / (N_z - 1)
+      / N_z.  It is evaluated on a whole block of assignments from one
+      cell-moment pass and cannot fail (every cell holds at least two
+      units); ``mean_estimated_cov`` is M diag(mean Vhat) M^T.
+    * a callable mapping an AssignmentTable to a flat vector or a pair
+      ``(estimate, covariance)``, applied to ``observe`` of each assignment.
+      A replicate on which it raises a package error is counted in
+      ``failures`` and dropped from every moment.
+
+    With covariances and ``truth``, per-component Wald CI coverage at level
+    ``alpha`` is recorded.  Replicate r draws from ``replicate_rng(seed, r)``.
+    The replicates are cut into fixed blocks of at most BLOCK_ELEMENTS cells;
+    ``workers`` threads evaluate the blocks when there is more than one, and
+    the results are reduced in replicate order, so the report is
+    bit-identical for a fixed (seed, reps) regardless of the worker count.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    spec = spec or default_spec(table.K)
-    zq = special.ndtri(1.0 - alpha / 2.0)
+    evaluate = _block_evaluator(table, sizes, estimator, spec)
 
-    estimates = [None] * reps
-    covs = [None] * reps
-    failed = np.zeros(reps, dtype=bool)
+    def draw(replicates):
+        cells = [draw_assignment(sizes, replicate_rng(seed, r)) for r in replicates]
+        return evaluate(np.array(cells))
 
-    def run(r):
-        rng = replicate_rng(seed, r)
-        cells = draw_assignment(sizes, rng)
-        try:
-            out = estimator(observe(table, cells, spec))
-        except Factorial2kError:
-            failed[r] = True
-            return
-        if isinstance(out, tuple):
-            estimates[r], covs[r] = np.asarray(out[0], float).ravel(), out[1]
-        else:
-            estimates[r] = np.asarray(out, float).ravel()
-
-    if workers <= 1:
-        for r in range(reps):
-            run(r)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(reps)))
-
-    ok = [r for r in range(reps) if not failed[r]]
-    if not ok:
+    rows = max(1, BLOCK_ELEMENTS // sizes.N)
+    blocks = [range(lo, min(lo + rows, reps)) for lo in range(0, reps, rows)]
+    if truth is not None:
+        truth = np.asarray(truth, dtype=np.float64).ravel()
+    n, failures, mean, cov, mean_cov, coverage = _drive(blocks, draw, workers, truth, alpha)
+    if not n:
         raise EstimatorFailureError("estimator failed on every replicate", reps)
-    est = np.vstack([estimates[r] for r in ok])
-    mean = est.mean(axis=0)
-    centered = est - mean
-    cov = centered.T @ centered / len(ok)
-
-    mean_cov = None
-    coverage = None
-    have_cov = all(covs[r] is not None for r in ok)
-    if have_cov:
-        mean_cov = np.zeros_like(np.asarray(covs[ok[0]], float))
-        for r in ok:
-            mean_cov += covs[r]
-        mean_cov /= len(ok)
-        if truth is not None:
-            truth = np.asarray(truth, float).ravel()
-            hits = np.zeros(truth.size)
-            for r in ok:
-                se = np.sqrt(np.clip(np.diag(np.asarray(covs[r], float)), 0.0, None))
-                hits += (np.abs(estimates[r] - truth) <= zq * se).astype(float)
-            coverage = hits / len(ok)
-
-    return SimReport(
-        "mc", reps, seed, mean, cov, mean_cov, coverage, alpha, int(failed.sum())
-    )
+    return SimReport("mc", reps, seed, mean, cov, mean_cov, coverage, alpha, failures)
 
 
 def make_constant_effects_population(N, unit_effects, cell_offsets):
@@ -359,25 +423,21 @@ def compare_saturated_unsaturated(table, sizes, spec):
     """Exact covariance ordering between saturated and unsaturated fits.
 
     Every assignment has the same cell rows and sizes, so both models are
-    factored once and each enumerated assignment solves their coefficients
-    from its cell means.  Reports exact covariances of the included
-    saturated and the unsaturated coefficients, whether their difference is
-    PSD, and the closed-form unsaturated covariance from the potential
-    outcomes.
+    factored once into matrices mapping the cell means to coefficients, and
+    the enumeration evaluates them on blocks of assignments.  Reports exact
+    covariances of the included saturated and the unsaturated coefficients,
+    whether their difference is PSD, and the closed-form unsaturated
+    covariance from the potential outcomes.
     """
     fspec = default_spec(table.K)
     p = len(spec.terms)
     reference = observe(table, draw_assignment(sizes, np.random.default_rng(0)), fspec)
     design = build_design(reference, spec)
-    solve_sat = _qr_solve(design.rows, sizes.sizes)[0]
-    solve_uns = _qr_solve(design.included_rows, sizes.sizes)[0]
-
-    def both(data):
-        means = _cell_moments(data)[1]
-        sat = solve_sat(means)[1:][design.included_pos]
-        return np.concatenate([sat, solve_uns(means)[1:]])
-
-    mean, cov = exact_expectations(table, sizes, both, fspec)
+    # both coefficient vectors are linear in the cell means: M Yhat
+    identity = np.eye(sizes.Q)
+    sat = _qr_solve(design.rows, sizes.sizes)[0](identity)[1:][design.included_pos]
+    uns = _qr_solve(design.included_rows, sizes.sizes)[0](identity)[1:]
+    mean, cov = exact_expectations(table, sizes, np.vstack([sat, uns]))
     mean_sat, mean_uns = mean[:p], mean[p:]
     cov_sat, cov_uns = cov[:p, :p], cov[p:, p:]
 

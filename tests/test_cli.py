@@ -385,3 +385,50 @@ def test_stdout_when_no_out_flag(csv_2x2, capsys):
     assert code == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["moment"]["effects"]["A"]["estimate"] == pytest.approx(4.5)
+
+
+def test_simulate_population_and_sizes_must_agree(tmp_path, capsys):
+    # 16 units with 4 potential outcomes each, against a design of 8 cells
+    pop = tmp_path / "pop.csv"
+    values = np.random.default_rng(10).normal(size=(16, 4))
+    np.savetxt(pop, values, delimiter=",", header="00,01,10,11", comments="")
+    code, _ = run_cli(
+        ["simulate", "--population", str(pop), "--sizes", ",".join(["2"] * 8)], tmp_path
+    )
+    assert code == EXIT_VALIDATION
+    assert "4 cells, --sizes gives 16 units in 8 cells" in capsys.readouterr().err
+    code, _ = run_cli(
+        ["simulate", "--population", "no-three-way", "--sizes", "2,2,2"], tmp_path
+    )
+    assert code == EXIT_VALIDATION
+    assert "4 cells, --sizes gives 6 units in 3 cells" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [[], ["--exact"]])
+def test_simulate_non_finite_population(tmp_path, capsys, mode):
+    pop = tmp_path / "pop.csv"
+    values = np.random.default_rng(12).normal(size=(8, 4))
+    values[5, 2] = np.nan
+    np.savetxt(pop, values, delimiter=",", header="00,01,10,11", comments="")
+    code, payload = run_cli(
+        ["simulate", "--population", str(pop), "--sizes", "2,2,2,2", *mode], tmp_path
+    )
+    assert (code, payload) == (EXIT_VALIDATION, None)
+    assert "values[5, 2] is nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode, draws",
+    [(["--reps", "37", "--workers", "2"], 37), (["--exact"], 0)],
+)
+def test_simulate_makes_no_per_assignment_calls(tmp_path, monkeypatch, mode, draws):
+    observed = spy_calls(monkeypatch, "simulate", "observe")
+    moments = spy_calls(monkeypatch, "estimation", "moment_estimates")
+    drawn = spy_calls(monkeypatch, "simulate", "draw_assignment")
+    code, payload = run_cli(
+        ["simulate", "--population", "heterogeneous", "--sizes", "2,2,2,2", *mode], tmp_path
+    )
+    assert code == EXIT_OK
+    assert payload["report"]["mode"] == ("exact" if draws == 0 else "mc")
+    assert (len(observed), len(moments), len(drawn)) == (0, 0, draws)
+

@@ -269,3 +269,17 @@ def test_three_way_term_breaks_equivalence():
             broken = True
             break
     assert broken
+
+
+def test_contrast_matrix_cached_per_scheme_and_read_only():
+    scheme = from_joint(np.random.default_rng(3).dirichlet(np.ones(8)))
+    first = contrast_matrix(scheme, 3).matrix
+    assert contrast_matrix(scheme, 3).matrix is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+    # a second scheme with the same weights gets its own, equal matrix
+    other = contrast_matrix(from_joint(scheme.joint.copy()), 3).matrix
+    assert other is not first
+    np.testing.assert_array_equal(other, first)
+

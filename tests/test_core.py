@@ -11,7 +11,7 @@ from factorial2k import (
     enumerate_treatments,
     ingest_csv,
 )
-from factorial2k.core import MAX_FACTORS
+from factorial2k.core import MAX_FACTORS, _cell_moments
 from factorial2k.errors import EmptyCellError, ParseError, SingletonCellError
 
 
@@ -168,3 +168,17 @@ def test_cell_summary_matches_mask_loop(offset):
         assert s.counts[q] == y.size
         assert abs(s.means[q] - y.mean()) <= 1e-14 * abs(y.mean()) + 1e-14
         assert abs(s.variances[q] - y.var(ddof=1)) <= 1e-12 * y.var(ddof=1)
+
+
+def test_cell_moments_block_equals_stacked_rows():
+    # one offset bincount over a (B, N) block, against each row on its own
+    rng = np.random.default_rng(6)
+    cells = rng.integers(0, 8, size=(40, 30))
+    cells[3] = 5  # a row with seven empty cells
+    outcomes = 1e6 + rng.normal(0.0, 2.0, size=cells.shape)
+    block = _cell_moments(cells, outcomes, 8)
+    rows = [_cell_moments(c, y, 8) for c, y in zip(cells, outcomes)]
+    for got, want in zip(block, zip(*rows)):
+        assert got.shape == (40, 8)
+        np.testing.assert_array_equal(got, np.stack(want))
+

@@ -26,7 +26,10 @@ from factorial2k.errors import (
     Factorial2kError,
     TooManyAssignmentsError,
 )
+from factorial2k.contrasts import contrast_matrix
+from factorial2k import simulate
 from factorial2k.simulate import (
+    BLOCK_ELEMENTS,
     replicate_rng,
     truth_covariance_of_cell_means,
     unsaturated_moment_map,
@@ -262,3 +265,147 @@ def test_population_csv_roundtrip(tmp_path, small_population):
     small_population.to_csv(path)
     back = PotentialOutcomeTable.from_csv(path)
     np.testing.assert_allclose(back.values, small_population.values)
+
+
+def test_population_rejects_non_finite_outcomes():
+    values = np.zeros((6, 4))
+    values[3, 1] = np.nan
+    values[4, 0] = np.inf
+    with pytest.raises(ValueError, match=r"values\[3, 1\] is nan"):
+        PotentialOutcomeTable(values)
+    values[3, 1] = 0.0
+    with pytest.raises(ValueError, match=r"values\[4, 0\] is inf"):
+        PotentialOutcomeTable(values)
+
+
+def test_simulation_rejects_population_of_other_shape(small_population):
+    # a cell index past the table would alias into the next replicate's bins
+    G = contrast_matrix(equal_scheme(1), 1).matrix
+    with pytest.raises(ValueError, match="design has 8 units in 2 cells"):
+        monte_carlo(small_population, DesignSizes(np.array([4, 4])), G, reps=2, seed=0)
+    with pytest.raises(ValueError, match="population is 8 x 4"):
+        exact_expectations(small_population, DesignSizes(np.array([2, 2, 2])), np.eye(3))
+
+
+def _moment_callable(G):
+    def est(data):
+        m = moment_estimates(data)
+        return G @ m.y_hat, (G * m.v_hat) @ G.T
+
+    return est
+
+
+def _rel(actual, expected):
+    return np.abs(actual - expected).max() / np.abs(expected).max()
+
+
+SIZES_BY_K = {1: [3, 4], 2: [2, 3, 2, 3], 3: [2, 3, 2, 2, 3, 2, 2, 3]}
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_moment_matrix_matches_per_table_adaptor(K, monkeypatch):
+    # blocks of 7 replicates; 50 is not a multiple of 7
+    sizes = DesignSizes(np.array(SIZES_BY_K[K]))
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 7 * sizes.N)
+    rng = np.random.default_rng(70 + K)
+    table = PotentialOutcomeTable(rng.normal(3.0, 1.0, size=(sizes.N, 2 ** K)))
+    G = contrast_matrix(equal_scheme(K), K).matrix
+    truth = G @ table.means
+    kwargs = dict(reps=50, seed=K, truth=truth)
+    batched = monte_carlo(table, sizes, G, **kwargs)
+    adapted = monte_carlo(table, sizes, _moment_callable(G), **kwargs)
+    assert batched.failures == adapted.failures == 0
+    np.testing.assert_array_equal(batched.coverage, adapted.coverage)
+    for field in ("est_mean", "est_cov", "mean_estimated_cov"):
+        assert _rel(getattr(batched, field), getattr(adapted, field)) <= 1e-12, field
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_exact_moment_matrix_matches_per_table_adaptor(K, monkeypatch):
+    sizes = DesignSizes(np.array([3, 3] if K == 1 else [2, 2, 2, 2]))
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 97 * sizes.N)
+    table = PotentialOutcomeTable(np.random.default_rng(80).normal(size=(sizes.N, 2 ** K)))
+    G = contrast_matrix(equal_scheme(K), K).matrix
+    mean, cov = exact_expectations(table, sizes, G)
+    ref_mean, ref_cov = exact_expectations(table, sizes, lambda d: G @ moment_estimates(d).y_hat)
+    assert _rel(mean, ref_mean) <= 1e-12
+    assert _rel(cov, ref_cov) <= 1e-12
+    np.testing.assert_allclose(mean, G @ table.means, rtol=1e-12, atol=1e-14)
+
+
+def _count_pools(monkeypatch):
+    pools = []
+    real = simulate.ThreadPoolExecutor
+
+    def counting(*args, **kwargs):
+        pools.append(kwargs.get("max_workers"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", counting)
+    return pools
+
+
+def test_reports_identical_for_any_worker_count(small_population, monkeypatch):
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 5 * small_population.N)
+    pools = _count_pools(monkeypatch)
+    G = contrast_matrix(equal_scheme(2), 2).matrix
+    truth = G @ small_population.means
+    for estimator in (G, _moment_callable(G)):
+        reports = [
+            monte_carlo(
+                small_population, SIZES_2222, estimator, reps=23, seed=3, truth=truth, workers=w
+            ).to_dict()
+            for w in (1, 2, 8)
+        ]
+        assert reports[0] == reports[1] == reports[2]
+    # five blocks: only the multi-worker runs start a pool
+    assert pools == [2, 8, 2, 8]
+
+
+def test_one_block_starts_no_pool(small_population, monkeypatch):
+    pools = _count_pools(monkeypatch)
+    G = contrast_matrix(equal_scheme(2), 2).matrix
+    monte_carlo(small_population, SIZES_2222, G, reps=300, seed=3, workers=8)
+    assert pools == []
+
+
+def test_block_size_bound_for_large_n(monkeypatch):
+    moments = spy_calls(monkeypatch, "core", "_cell_moments")
+    sizes = DesignSizes(np.full(4, 20000))
+    table = PotentialOutcomeTable(np.random.default_rng(81).normal(size=(sizes.N, 4)))
+    G = contrast_matrix(equal_scheme(2), 2).matrix
+    report = monte_carlo(table, sizes, G, reps=30, seed=2)
+    rows = BLOCK_ELEMENTS // sizes.N
+    assert [args[0].shape for args in moments] == [(rows, sizes.N)] * 2 + [(30 - 2 * rows, sizes.N)]
+    assert all(args[0].size <= BLOCK_ELEMENTS for args in moments)
+    assert report.reps == 30 and report.failures == 0
+
+
+def test_exact_enumeration_in_blocks(small_population, monkeypatch):
+    moments = spy_calls(monkeypatch, "core", "_cell_moments")
+    G = np.eye(4)
+    whole = exact_expectations(small_population, SIZES_2222, G)
+    assert [args[0].shape for args in moments] == [(2520, 8)]
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1000 * 8)
+    blocked = exact_expectations(small_population, SIZES_2222, G)
+    assert [args[0].shape[0] for args in moments[1:]] == [1000, 1000, 520]
+    for got, want in zip(blocked, whole):
+        assert _rel(got, want) <= 1e-12
+
+
+def test_monte_carlo_counts_and_drops_failed_replicates(small_population, monkeypatch):
+    # fails whenever unit 0 lands in cell 0; blocks of 4 replicates
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 4 * small_population.N)
+
+    def est(data):
+        if data.cell[0] == 0:
+            raise Factorial2kError("unit 0 in cell 0")
+        return cell_summary(data, variances=False).means
+
+    draws = [draw_assignment(SIZES_2222, replicate_rng(4, r)) for r in range(40)]
+    kept = [est(observe(small_population, cells)) for cells in draws if cells[0] != 0]
+    for workers in (1, 2):
+        report = monte_carlo(small_population, SIZES_2222, est, reps=40, seed=4, workers=workers)
+        assert report.failures == 40 - len(kept) > 0
+        assert _rel(report.est_mean, np.mean(kept, axis=0)) <= 1e-12
+
