@@ -7,6 +7,7 @@ numerical failure, 3 identity/verification failure.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -36,7 +37,7 @@ from .simulate import (
     replicate_rng,
 )
 from .verify import run_identity_suite, suite_passed
-from .weighting import empirical_scheme, equal_scheme, product_scheme
+from .weighting import ShiftVector, empirical_scheme, equal_scheme, product_scheme
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -94,6 +95,11 @@ def cmd_analyze(args):
     else:
         # default: pair the shifts with the scheme's marginal one-probabilities
         delta = scheme.factor_one_probs()
+    shifts = ShiftVector(delta)
+    # the saturated fit checks itself with the product scheme of the shifts, built
+    # once per ShiftVector; a scheme with the same joint has the same G, so use it
+    if np.array_equal(product_scheme(shifts).joint, scheme.joint):
+        scheme = product_scheme(shifts)
 
     report = effect_estimates(data, scheme, alpha=args.alpha)
     payload = {
@@ -105,9 +111,9 @@ def cmd_analyze(args):
     model = None
     if args.model:
         terms = tuple(parse_subset_label(t, spec) for t in args.model.split(","))
-        model = ModelSpec(delta, terms)
+        model = ModelSpec(shifts, terms)
     if model is None or model.saturated:
-        fit, verification = saturated_fit(data, delta)
+        fit, verification = saturated_fit(data, shifts)
         max_rel_err = max(verification["coef_rel_err"], verification["cov_rel_err"] or 0.0)
         payload["regression"] = fit.to_dict(spec)
         payload["verification"] = {
@@ -218,13 +224,27 @@ def cmd_verify(args):
     return EXIT_OK if payload["pass"] else EXIT_IDENTITY
 
 
+def _env_seed():
+    return int(os.environ.get("FACTORIAL2K_SEED", "0"))
+
+
 def build_parser():
+    """The parser, with FACTORIAL2K_SEED as the default seed."""
+    return _build_parser(_env_seed())
+
+
+@functools.cache
+def _main_parser():
+    # built once per process; main reads the default seed on every call
+    return _build_parser(None)
+
+
+def _build_parser(default_seed):
     parser = argparse.ArgumentParser(
         prog="factorial2k",
         description="Design-based inference for 2^K factorial experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_seed = int(os.environ.get("FACTORIAL2K_SEED", "0"))
 
     pa = sub.add_parser("analyze", help="estimate effects from a CSV dataset")
     pa.add_argument("--input", required=True)
@@ -262,9 +282,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
+        if vars(args).get("seed", 0) is None:
+            args.seed = _env_seed()
         if "alpha" in vars(args) and not 0.0 < args.alpha < 1.0:
             raise ParseError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
         return args.func(args)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 import csv
 import math
+import warnings
 
 import numpy as np
 
@@ -21,6 +22,8 @@ from .errors import EmptyCellError, ParseError, SingletonCellError
 
 # the dense (2^K - 1) x 2^K contrast matrix takes 128 MiB at K=12 and 32 GiB at K=16
 MAX_FACTORS = 12
+# bytes per read when checking that a CSV file is plain
+READ_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,7 @@ class AssignmentTable:
     assignment: np.ndarray  # (N, K) of 0/1
     outcome: np.ndarray  # (N,)
     cell: np.ndarray = field(init=False)  # (N,) cell index per unit
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         z = np.asarray(self.assignment)
@@ -123,6 +127,16 @@ class AssignmentTable:
     @property
     def N(self):
         return self.outcome.shape[0]
+
+    @property
+    def moments(self):
+        """Read-only counts, means and within-cell sums of squares, from one pass."""
+        if "moments" not in self._cache:
+            moments = _cell_moments(self.cell, self.outcome, self.spec.Q)
+            for a in moments:
+                a.setflags(write=False)
+            self._cache["moments"] = moments
+        return self._cache["moments"]
 
 
 @dataclass(frozen=True)
@@ -170,7 +184,7 @@ def cell_summary(data, variances=True):
     unit has a NaN variance, or raises SingletonCellError when
     ``variances`` are required.
     """
-    counts, means, ss = _cell_moments(data.cell, data.outcome, data.spec.Q)
+    counts, means, ss = data.moments
     if (counts == 0).any():
         raise EmptyCellError(f"cells with no units: {np.flatnonzero(counts == 0).tolist()}")
     if variances and (counts < 2).any():
@@ -184,8 +198,92 @@ def ingest_csv(path, spec, outcome_col="Y"):
     """Read an AssignmentTable from a CSV file with one column per factor.
 
     Factor columns are matched by label and parsed strictly as 0/1; the
-    outcome column must parse as a float.  Row order is preserved.
+    outcome column must parse as a float.  Row order is preserved.  A plain
+    comma-separated file is parsed in one vectorised pass; any other file,
+    and every file with an error, is read row by row, which gives the same
+    table or raises the same ParseError.
     """
+    data = _read_plain(path, spec, outcome_col)
+    return data if data is not None else _read_rows(path, spec, outcome_col)
+
+
+def _plain_rows(path):
+    """Data rows of a file that the csv module would split exactly at "," and "\n".
+
+    None when the file holds a quote, carriage return or NUL byte, or a
+    line too long for ``csv.field_size_limit()``: those are read row by row.
+    """
+    limit = csv.field_size_limit()
+    lines, start, offset = 0, 0, 0  # start: offset of the current line
+    with open(path, "rb") as fh:
+        while chunk := fh.read(READ_CHUNK):
+            if b'"' in chunk or b"\r" in chunk or b"\0" in chunk:
+                return None
+            ends = offset + np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+            # the length of each line that ends in this chunk, without its newline
+            if (np.diff(ends, prepend=start - 1) - 1).max(initial=0) > limit:
+                return None
+            lines += ends.size
+            start = int(ends[-1]) + 1 if ends.size else start
+            offset += len(chunk)
+    if offset - start > limit:
+        return None
+    # a last line without a newline is a row as well; the first line is the header
+    return lines + (offset > start) - 1
+
+
+def _read_plain(path, spec, outcome_col):
+    """One np.loadtxt pass over a plain file, or None to leave it to _read_rows.
+
+    Returns a table only when it equals _read_rows's: every line is one
+    row of the header's field count, every factor field is exactly "0" or
+    "1" and every outcome is finite.  Factor fields are read two characters
+    wide, so "10" stays distinct from "1"; unused columns one wide.
+    """
+    rows = _plain_rows(path)
+    if rows is None or rows < 1:
+        return None
+    try:
+        with open(path, newline="") as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            # a repeated column name refers to its last occurrence
+            column = {name: i for i, name in enumerate(header)}
+            if any(c not in column for c in (*spec.labels, outcome_col)):
+                return None
+            factor_cols = [column[label] for label in spec.labels]
+            y_col = column[outcome_col]
+            if y_col in factor_cols:
+                return None
+            types = ["U1"] * len(header)
+            for i in factor_cols:
+                types[i] = "U2"
+            types[y_col] = "f8"
+            dtype = np.dtype([(f"f{i}", t) for i, t in enumerate(types)])
+            with warnings.catch_warnings():
+                # a file of blank lines holds no data; the row count below sends it on
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(
+                    fh, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1
+                )
+    except ValueError:  # also a field count, an outcome or a byte that does not decode
+        return None
+    if table.size != rows:  # loadtxt skipped a blank line
+        return None
+    levels = []
+    for i in factor_cols:
+        values = table[f"f{i}"]
+        one = values == "1"
+        if not (one | (values == "0")).all():
+            return None
+        levels.append(one)
+    y = np.ascontiguousarray(table[f"f{y_col}"])
+    if not np.isfinite(y).all():
+        return None
+    return AssignmentTable(spec, np.column_stack(levels), y)
+
+
+def _read_rows(path, spec, outcome_col):
+    """Row-by-row csv.reader parse: any csv dialect, and every ParseError."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import linalg
 
 from .contrasts import contrast_matrix
-from .core import _cell_moments, enumerate_subsets, enumerate_treatments
+from .core import enumerate_subsets, enumerate_treatments
 from .errors import IdentityViolationError, RankDeficientError
 from .estimation import RANK_RTOL, moment_estimates
 from .weighting import ShiftVector, product_scheme
@@ -240,7 +240,7 @@ def saturated_fit(data, delta):
     otherwise.  An empty cell makes the design rank deficient.
     """
     spec = saturated_spec(delta)
-    counts, means, ss = _cell_moments(data.cell, data.outcome, data.spec.Q)
+    counts, means, ss = data.moments
     rows = build_design(data, spec).rows
     fit = _wls(rows, counts, means, ss, data.outcome, data.cell, spec.terms)[0]
     G = contrast_matrix(product_scheme(spec.delta), spec.K).matrix
@@ -259,8 +259,7 @@ def saturated_fit(data, delta):
 def unsaturated_fit(data, spec):
     """Least squares on the included terms only, with HC0."""
     rows = build_design(data, spec).included_rows
-    moments = _cell_moments(data.cell, data.outcome, data.spec.Q)
-    return _wls(rows, *moments, data.outcome, data.cell, spec.terms)[0]
+    return _wls(rows, *data.moments, data.outcome, data.cell, spec.terms)[0]
 
 
 def wls_fit(data, spec):
@@ -268,7 +267,7 @@ def wls_fit(data, spec):
 
     HC0 is the weighted sandwich; the residuals are the unweighted y - X beta.
     """
-    counts, means, ss = _cell_moments(data.cell, data.outcome, data.spec.Q)
+    counts, means, ss = data.moments
     rows = build_design(data, spec).included_rows
     w = 1.0 / np.maximum(counts, 1)
     return _wls(rows, counts, means, ss, data.outcome, data.cell, spec.terms, w)[0]
@@ -318,7 +317,7 @@ def verify_omitted_relation(data, spec):
     check also guards R.
     """
     design = build_design(data, spec)
-    counts, means, ss = _cell_moments(data.cell, data.outcome, data.spec.Q)
+    counts, means, ss = data.moments
     gamma = _qr_solve(design.rows, counts)[0](means)[1:]
     rows = design.included_rows
     uns_fit, solve = _wls(rows, counts, means, ss, data.outcome, data.cell, spec.terms)

@@ -19,6 +19,7 @@ class ShiftVector:
     """Per-factor location shifts delta_k, each in [0, 1]."""
 
     delta: np.ndarray
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = np.asarray(self.delta, dtype=np.float64)
@@ -91,14 +92,19 @@ def empirical_scheme(summary):
 
 
 def product_scheme(delta):
-    """Product scheme with pi(z) = prod_k delta_k^z_k (1-delta_k)^(1-z_k)."""
+    """Product scheme with pi(z) = prod_k delta_k^z_k (1-delta_k)^(1-z_k).
+
+    Built once per ShiftVector and cached on it, so every caller holding the
+    same shifts shares the scheme and its contrast matrix.
+    """
     if not isinstance(delta, ShiftVector):
         delta = ShiftVector(np.asarray(delta, dtype=np.float64))
-    K = delta.K
-    mass = np.ones(1)
-    for k in range(K):
-        mass = np.kron(mass, np.array([1.0 - delta.delta[k], delta.delta[k]]))
-    return WeightingScheme(K, mass)
+    if "scheme" not in delta._cache:
+        mass = np.ones(1)
+        for d in delta.delta:
+            mass = np.kron(mass, np.array([1.0 - d, d]))
+        delta._cache["scheme"] = WeightingScheme(delta.K, mass)
+    return delta._cache["scheme"]
 
 
 def pi_cross(scheme):

@@ -432,3 +432,54 @@ def test_simulate_makes_no_per_assignment_calls(tmp_path, monkeypatch, mode, dra
     assert payload["report"]["mode"] == ("exact" if draws == 0 else "mc")
     assert (len(observed), len(moments), len(drawn)) == (0, 0, draws)
 
+
+
+@pytest.fixture
+def plain_csv_2x2(tmp_path):
+    path = tmp_path / "plain.csv"
+    path.write_text("A,B,Y\n0,0,1\n0,0,3\n0,1,2\n0,1,4\n1,0,5\n1,0,7\n1,1,6\n1,1,10\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("model", [[], ["--model", "A,B"]])
+def test_analyze_computes_cell_moments_once(plain_csv_2x2, tmp_path, monkeypatch, model):
+    passes = spy_calls(monkeypatch, "core", "_cell_moments")
+    code, payload = run_cli(
+        ["analyze", "--input", plain_csv_2x2, "--factors", "A,B", *model], tmp_path
+    )
+    assert code == EXIT_OK
+    assert payload["moment"]["effects"]["A"]["estimate"] == pytest.approx(4.5)
+    assert len(passes) == 1
+
+
+@pytest.mark.parametrize("scheme, builds", [("equal", 1), ("empirical", 2)])
+def test_analyze_saturated_builds_g_once_per_scheme(plain_csv_2x2, tmp_path, monkeypatch, scheme, builds):
+    # the equal scheme is the product scheme of its own marginals, so the
+    # identity check shares its G; unbalanced empirical weights need a second one
+    with open(plain_csv_2x2, "a") as fh:
+        fh.write("1,1,8\n")
+    kernels = spy_calls(monkeypatch, "contrasts", "_sign_formula")
+    code, payload = run_cli(
+        ["analyze", "--input", plain_csv_2x2, "--factors", "A,B", "--scheme", scheme], tmp_path
+    )
+    assert code == EXIT_OK
+    assert payload["verification"]["pass"] is True
+    assert len(kernels) == builds
+
+
+def test_main_builds_parser_once_and_reads_seed_each_call(tmp_path, monkeypatch):
+    import factorial2k.cli as cli
+
+    cli._main_parser.cache_clear()
+    builds = spy_calls(monkeypatch, "cli", "_build_parser")
+    seeds = []
+    for seed in ("5", "6"):
+        monkeypatch.setenv("FACTORIAL2K_SEED", seed)
+        code, payload = run_cli(["verify", "--K", "2"], tmp_path, name=f"v{seed}.json")
+        assert code == EXIT_OK
+        seeds.append(payload["config"]["args"]["seed"])
+    assert seeds == [5, 6]
+    assert len(builds) == 1
+    # an explicit --seed still wins over the environment
+    _, payload = run_cli(["verify", "--K", "2", "--seed", "9"], tmp_path)
+    assert payload["config"]["args"]["seed"] == 9

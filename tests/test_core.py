@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,11 @@ from factorial2k import (
     enumerate_treatments,
     ingest_csv,
 )
+from factorial2k import core
 from factorial2k.core import MAX_FACTORS, _cell_moments
 from factorial2k.errors import EmptyCellError, ParseError, SingletonCellError
+
+from conftest import spy_calls
 
 
 def test_enumerate_treatments_base_case():
@@ -182,3 +187,156 @@ def test_cell_moments_block_equals_stacked_rows():
         assert got.shape == (40, 8)
         np.testing.assert_array_equal(got, np.stack(want))
 
+
+# ingest: a plain comma-separated file takes one np.loadtxt pass (_read_plain);
+# every other file, and every error, the csv.reader loop (_read_rows)
+
+
+def _ingest(monkeypatch, path, spec, **kwargs):
+    """ingest_csv's table and whether the csv.reader loop ran."""
+    rows = spy_calls(monkeypatch, "core", "_read_rows")
+    data = ingest_csv(path, spec, **kwargs)
+    return data, len(rows) == 1
+
+
+def _assert_same_table(a, b):
+    for name in ("assignment", "outcome", "cell"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def _plain_text(rng, n, K=3, extra=False):
+    labels = [chr(ord("A") + k) for k in range(K)]
+    header = labels + ["Y"] + (["note"] if extra else [])
+    lines = [",".join(header)]
+    for _ in range(n):
+        fields = [str(v) for v in rng.integers(0, 2, size=K)] + [repr(rng.normal(0.0, 1e3))]
+        lines.append(",".join(fields + (["text"] if extra else [])))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 5000])
+@pytest.mark.parametrize("trailing_newline", [True, False])
+def test_ingest_plain_file_takes_vectorised_path(tmp_path, monkeypatch, n, trailing_newline):
+    text = _plain_text(np.random.default_rng(n), n)
+    path = tmp_path / "d.csv"
+    path.write_text(text if trailing_newline else text[:-1])
+    spec = default_spec(3)
+    data, row_by_row = _ingest(monkeypatch, path, spec)
+    assert not row_by_row
+    assert data.N == n
+    _assert_same_table(data, core._read_rows(path, spec, "Y"))
+
+
+def test_ingest_vectorised_extra_column_and_repeated_name(tmp_path, monkeypatch):
+    spec = default_spec(2)
+    path = tmp_path / "d.csv"
+    path.write_text(_plain_text(np.random.default_rng(1), 30, K=2, extra=True))
+    data, row_by_row = _ingest(monkeypatch, path, spec)
+    assert not row_by_row
+    _assert_same_table(data, core._read_rows(path, spec, "Y"))
+    # a repeated name means its last column; the first A is read but not used
+    path.write_text("A,B,A,Y,note\n1,0,0,1.5,x\n9,1,1,-2,yy\n0,0,1,3e2,\n")
+    data, row_by_row = _ingest(monkeypatch, path, spec)
+    assert not row_by_row
+    np.testing.assert_array_equal(data.assignment, [[0, 0], [1, 1], [1, 0]])
+    np.testing.assert_array_equal(data.outcome, [1.5, -2.0, 300.0])
+    _assert_same_table(data, core._read_rows(path, spec, "Y"))
+
+
+@pytest.mark.parametrize(
+    "text, levels, outcome",
+    [
+        ('A,B,Y,note\n0,1,2.5,"x, y"\n1,0,-1,z\n', [[0, 1], [1, 0]], [2.5, -1.0]),
+        # split at the quoted newline, both halves would be rows of four fields
+        ('A,B,Y,note\n0,1,2.5,"x\n1,0,-1,y"\n', [[0, 1]], [2.5]),
+        ('A,B,Y\n"0",1,"2.5"\n', [[0, 1]], [2.5]),
+        ("A,B,Y,note\r\n0,1,2.5,x\r\n1,1,4,y\r\n", [[0, 1], [1, 1]], [2.5, 4.0]),
+        ("A,B,Y\n0,1,2.5\n\n1,1,4\n\n", [[0, 1], [1, 1]], [2.5, 4.0]),
+        ("A,B,Y\n 1 ,0, 2.5 \n", [[1, 0]], [2.5]),
+        ("A,B,Y\n1,0,1_000\n", [[1, 0]], [1000.0]),
+        ("A,B,Y\n1,0,١٢\n", [[1, 0]], [12.0]),
+    ],
+    ids=["quoted-comma", "quoted-newline", "quoted-values", "crlf", "blank-lines",
+         "spaces", "underscore", "arabic-indic"],
+)
+def test_ingest_other_dialects_take_row_by_row_path(tmp_path, monkeypatch, text, levels, outcome):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    data, row_by_row = _ingest(monkeypatch, path, default_spec(2))
+    assert row_by_row
+    np.testing.assert_array_equal(data.assignment, levels)
+    np.testing.assert_array_equal(data.outcome, outcome)
+
+
+def test_ingest_line_over_csv_field_limit_takes_row_by_row_path(tmp_path, monkeypatch):
+    # numpy would parse the padded outcome; the csv module refuses the field
+    path = tmp_path / "d.csv"
+    path.write_text("A,B,Y\n0,1," + " " * (csv.field_size_limit() + 1) + "2.5\n")
+    rows = spy_calls(monkeypatch, "core", "_read_rows")
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        ingest_csv(path, default_spec(2))
+    assert len(rows) == 1
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0.0,1,2.5\n", "line 2: factor A has non-binary value '0.0'"),
+        ("1,10,2.5\n", "line 2: factor B has non-binary value '10'"),
+        ("1,0,2.5\n01,1,3\n", "line 3: factor A has non-binary value '01'"),
+        ("1,0,2.5\n0,1,NaN\n", "line 3: non-finite outcome 'NaN'"),
+        ("1,0,2.5\n   \n0,1,3\n", "line 3: expected 3 fields, got 1"),
+        ("1,0,2.5\n0,1,\n", "line 3: non-numeric outcome ''"),
+        ("", "no data rows"),
+        ("\n\n", "no data rows"),
+    ],
+)
+def test_ingest_errors_come_from_row_by_row_path(tmp_path, monkeypatch, body, message):
+    path = tmp_path / "d.csv"
+    path.write_text("A,B,Y\n" + body)
+    rows = spy_calls(monkeypatch, "core", "_read_rows")
+    with pytest.raises(ParseError) as info:
+        ingest_csv(path, default_spec(2))
+    assert str(info.value) == message
+    assert len(rows) == 1
+
+
+def test_ingest_outcome_column_that_is_also_a_factor(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    path.write_text("A,B\n0,1\n1,1\n")
+    data, row_by_row = _ingest(monkeypatch, path, default_spec(2), outcome_col="B")
+    assert row_by_row
+    np.testing.assert_array_equal(data.outcome, [1.0, 1.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "empty file"), ("A,B,Y\n", "no data rows"), ("A,B,Y", "no data rows"),
+     ("A,B,Y\n\n\n", "no data rows")],
+)
+def test_ingest_without_data_raises_no_warning(tmp_path, text, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as info:
+        ingest_csv(path, default_spec(2))
+    assert str(info.value) == message
+
+
+def test_plain_row_count_and_line_limit_across_read_chunks(tmp_path):
+    path = tmp_path / "d.csv"
+    row = "0,1,2.5\n"
+    n = 2 * core.READ_CHUNK // len(row) + 3
+    path.write_text("A,B,Y\n" + row * n)
+    assert core._plain_rows(path) == n
+    path.write_text("A,B,Y\n" + row * n + "1,1,4")
+    assert core._plain_rows(path) == n + 1
+    # a line one byte over the csv field limit, straddling the first chunk boundary
+    limit = csv.field_size_limit()
+    k = (core.READ_CHUNK - limit // 2) // len(row)
+    for length, rows in [(limit, k + 2), (limit + 1, None)]:
+        long_row = "0,1," + " " * (length - 7) + "2.5\n"
+        path.write_text("A,B,Y\n" + row * k + long_row + "1,0,3\n")
+        assert core._plain_rows(path) == rows
