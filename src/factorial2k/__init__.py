@@ -34,7 +34,6 @@ from .contrasts import (
     ContrastMatrix,
     conditional_effect_row,
     contrast_matrix,
-    general_effect_row,
     true_effects,
 )
 from .estimation import (

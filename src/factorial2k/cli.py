@@ -216,7 +216,6 @@ def cmd_verify(args):
         seed=args.seed,
         balanced=args.balanced,
         delta=delta,
-        perturb=args.perturb,
     )
     payload = {"config": _run_config(args), "identities": records}
     payload["pass"] = suite_passed(records)
@@ -224,22 +223,13 @@ def cmd_verify(args):
     return EXIT_OK if payload["pass"] else EXIT_IDENTITY
 
 
-def _env_seed():
-    return int(os.environ.get("FACTORIAL2K_SEED", "0"))
-
-
-def build_parser():
-    """The parser, with FACTORIAL2K_SEED as the default seed."""
-    return _build_parser(_env_seed())
-
-
 @functools.cache
 def _main_parser():
     # built once per process; main reads the default seed on every call
-    return _build_parser(None)
+    return _build_parser()
 
 
-def _build_parser(default_seed):
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="factorial2k",
         description="Design-based inference for 2^K factorial experiments.",
@@ -263,7 +253,7 @@ def _build_parser(default_seed):
     ps.add_argument("--delta", help="shifts defining the product-scheme estimand")
     ps.add_argument("--alpha", type=float, default=0.05)
     ps.add_argument("--reps", type=int, default=10000)
-    ps.add_argument("--seed", type=int, default=default_seed)
+    ps.add_argument("--seed", type=int)
     ps.add_argument("--workers", type=int, default=1)
     ps.add_argument("--exact", action="store_true", help="enumerate all assignments")
     ps.add_argument("--allow-mc", action="store_true", help="fall back to Monte Carlo when enumeration is infeasible")
@@ -272,10 +262,9 @@ def _build_parser(default_seed):
 
     pv = sub.add_parser("verify", help="run the exact-identity suite on random data")
     pv.add_argument("--K", type=int, default=3)
-    pv.add_argument("--seed", type=int, default=default_seed)
+    pv.add_argument("--seed", type=int)
     pv.add_argument("--balanced", action="store_true")
     pv.add_argument("--delta")
-    pv.add_argument("--perturb", type=float, default=0.0, help="test hook: inject an error")
     pv.add_argument("--out")
     pv.set_defaults(func=cmd_verify)
     return parser
@@ -285,7 +274,7 @@ def main(argv=None):
     args = _main_parser().parse_args(argv)
     try:
         if vars(args).get("seed", 0) is None:
-            args.seed = _env_seed()
+            args.seed = int(os.environ.get("FACTORIAL2K_SEED", "0"))
         if "alpha" in vars(args) and not 0.0 < args.alpha < 1.0:
             raise ParseError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
         return args.func(args)

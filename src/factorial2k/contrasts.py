@@ -70,19 +70,6 @@ def conditional_effect_row(subset, rest, K):
     return _sign_formula([subset], [point_mass], K)[0]
 
 
-def general_effect_row(subset, scheme, K):
-    """Weighted average of conditional rows over the complement levels.
-
-    The weights are the scheme's marginal law of the factors outside
-    ``subset``.
-    """
-    _check_K(K)
-    if scheme.K != K:
-        raise DimensionMismatchError("scheme and K disagree")
-    subset = tuple(sorted(subset))
-    return _sign_formula([subset], [_complement_weights(subset, scheme)], K)[0]
-
-
 @dataclass(frozen=True)
 class ContrastMatrix:
     """(2^K - 1) x 2^K matrix mapping cell means to general effects."""

@@ -282,11 +282,20 @@ def _read_plain(path, spec, outcome_col):
     return AssignmentTable(spec, np.column_stack(levels), y)
 
 
+def _csv_rows(reader):
+    """The rows of a csv.reader, with the csv module's own errors as ParseError."""
+    try:
+        yield from reader
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise ParseError(f"line {reader.line_num}: {exc}") from exc
+
+
 def _read_rows(path, spec, outcome_col):
     """Row-by-row csv.reader parse: any csv dialect, and every ParseError."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _csv_rows(reader)
+        header = next(rows, None)
         if header is None:
             raise ParseError("empty file")
         missing = [c for c in (*spec.labels, outcome_col) if c not in header]
@@ -297,7 +306,7 @@ def _read_rows(path, spec, outcome_col):
         factor_cols = [(label, column[label]) for label in spec.labels]
         y_col = column[outcome_col]
         levels, outcomes = [], []
-        for row in reader:
+        for row in rows:
             if not row:
                 continue
             lineno = reader.line_num

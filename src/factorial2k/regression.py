@@ -159,11 +159,10 @@ class FitResult:
 
 
 def _qr_solve(X, weights):
-    """Pivoted QR of ``sqrt(weights) * X`` with a rank check.
+    """Weighted least-squares coefficient map A = (X^T W X)^{-1} X^T W.
 
-    Returns ``(solve, gram_inverse)``: ``solve(rhs)`` gives the weighted
-    least-squares coefficients of an unscaled right-hand side (a vector or
-    one column each) and ``gram_inverse()`` computes (X^T W X)^{-1}.
+    One pivoted QR of ``sqrt(weights) * X`` gives ``A[piv] = R^{-1} Q^T
+    sqrt(W)``, so the coefficients of any right-hand side y are ``A @ y``.
     Raises RankDeficientError when the numerical rank at the relative
     tolerance falls short of the column count.
     """
@@ -175,41 +174,33 @@ def _qr_solve(X, weights):
     diag = np.abs(np.diag(R))
     if diag[0] == 0.0 or (diag < RANK_RTOL * diag[0]).any():
         raise RankDeficientError("design matrix is rank deficient")
-    inv_perm = np.empty(p, dtype=np.intp)
-    inv_perm[piv] = np.arange(p)
-
-    def solve(rhs):
-        beta = linalg.solve_triangular(R, Q.T @ (rhs.T * sw).T)
-        return beta[inv_perm]
-
-    def gram_inverse():
-        r_inv = linalg.solve_triangular(R, np.eye(p))
-        return (r_inv @ r_inv.T)[np.ix_(inv_perm, inv_perm)]
-
-    return solve, gram_inverse
+    A = np.empty((p, n))
+    A[piv] = linalg.solve_triangular(R, Q.T * sw)
+    return A
 
 
-def _wls(rows, counts, means, ss, y, cell, terms=(), w=1.0):
+def _wls(A, rows, counts, means, ss, y, cell, terms=()):
     """Least squares on cell rows with HC0, the kernel of every fit.
 
-    The N_z units of cell z share the row x_z and the weight w_z, with mean
-    ybar_z and within-cell sum of squares SS_z.  The HC0 meat
-    sum_z w_z^2 (SS_z + N_z (ybar_z - x_z^T beta)^2) x_z x_z^T is the unit-level
-    sum_i w_i^2 r_i^2 x_i x_i^T.  Returns the fit, with unit residuals
-    ``y - (X beta)[cell]``, and the weighted solve.
+    ``A`` is the coefficient map of the cell rows x_z, weighted by N_z w_z:
+    the N_z units of cell z share x_z and the per-unit weight w_z, with mean
+    ybar_z and within-cell sum of squares SS_z.  Then beta = A ybar and
+    HC0 = A diag(RSS_z / N_z^2) A^T with RSS_z = SS_z + N_z (ybar_z -
+    x_z^T beta)^2; column z of A is N_z w_z (X^T W X)^{-1} x_z, so the
+    weights cancel, and an empty cell contributes nothing.  The residuals
+    are the unit-level ``y - (X beta)[cell]``.
     """
-    solve, gram_inverse = _qr_solve(rows, counts * w)
-    beta = solve(means)
+    beta = A @ means
     fitted = rows @ beta
-    meat = rows.T @ (rows * (w * w * (ss + counts * (means - fitted) ** 2))[:, None])
-    bread = gram_inverse()
-    return FitResult(tuple(terms), beta, y - fitted[cell], bread @ meat @ bread), solve
+    rss = ss + counts * (means - fitted) ** 2
+    cov = (A * (rss / np.maximum(counts, 1) ** 2)) @ A.T
+    return FitResult(tuple(terms), beta, y - fitted[cell], cov)
 
 
 def ols_fit(X, y, terms=()):
     """Plain least squares with HC0 on an explicit design matrix, each row its own cell."""
     y = np.asarray(y, dtype=np.float64)
-    return _wls(X, 1.0, y, 0.0, y, np.arange(y.size), terms)[0]
+    return _wls(_qr_solve(X, 1.0), X, 1.0, y, 0.0, y, np.arange(y.size), terms)
 
 
 def treatment_based_fit(data, check_tol=1e-8):
@@ -242,13 +233,14 @@ def saturated_fit(data, delta):
     spec = saturated_spec(delta)
     counts, means, ss = data.moments
     rows = build_design(data, spec).rows
-    fit = _wls(rows, counts, means, ss, data.outcome, data.cell, spec.terms)[0]
+    A = _qr_solve(rows, counts)
+    fit = _wls(A, rows, counts, means, ss, data.outcome, data.cell, spec.terms)
     G = contrast_matrix(product_scheme(spec.delta), spec.K).matrix
     verification = {"coef_rel_err": rel_err(fit.coef_noint, G @ means), "cov_rel_err": None}
     ok = verification["coef_rel_err"] <= IDENTITY_RTOL
     if (counts >= 2).all():
-        v_hat = ss / (counts - 1) / counts
-        psi = (G * v_hat) @ G.T - (G * (v_hat / counts)) @ G.T
+        # (1 - 1/N_z) Vhat_z = SS_z / N_z^2
+        psi = (G * (ss / counts ** 2)) @ G.T
         verification["cov_rel_err"] = rel_err(fit.robust_cov_noint, psi)
         ok = ok and verification["cov_rel_err"] <= IDENTITY_RTOL
     if not ok:
@@ -258,8 +250,10 @@ def saturated_fit(data, delta):
 
 def unsaturated_fit(data, spec):
     """Least squares on the included terms only, with HC0."""
+    counts, means, ss = data.moments
     rows = build_design(data, spec).included_rows
-    return _wls(rows, *data.moments, data.outcome, data.cell, spec.terms)[0]
+    A = _qr_solve(rows, counts)
+    return _wls(A, rows, counts, means, ss, data.outcome, data.cell, spec.terms)
 
 
 def wls_fit(data, spec):
@@ -269,8 +263,9 @@ def wls_fit(data, spec):
     """
     counts, means, ss = data.moments
     rows = build_design(data, spec).included_rows
-    w = 1.0 / np.maximum(counts, 1)
-    return _wls(rows, counts, means, ss, data.outcome, data.cell, spec.terms, w)[0]
+    # the cell weight N_z w_z is one for every nonempty cell
+    A = _qr_solve(rows, counts / np.maximum(counts, 1))
+    return _wls(A, rows, counts, means, ss, data.outcome, data.cell, spec.terms)
 
 
 @dataclass(frozen=True)
@@ -285,22 +280,19 @@ class OmittedTermAlgebra:
     d: np.ndarray  # #included x #omitted
 
 
-def _omitted(solve, design):
-    """Phi and D from a factorisation of the count-weighted included rows."""
-    if design.omitted_pos.size == 0:
-        raise ValueError("model is saturated; nothing is omitted")
-    phi = solve(design.omitted_rows)
-    return OmittedTermAlgebra(phi, phi[1:, :])
-
-
 def omitted_algebra(design):
     """Phi and D for a given design, by count-weighted cell rows.
 
-    Needs only the included columns to have full rank.  Phi is a function
-    of the cell proportions alone, so duplicating every unit keeps it.
+    Phi = A_+ X_- is the coefficient map A_+ of the included rows applied
+    to the omitted columns.  Needs only the included columns to have full
+    rank.  Phi is a function of the cell proportions alone, so duplicating
+    every unit keeps it.
     """
+    if design.omitted_pos.size == 0:
+        raise ValueError("model is saturated; nothing is omitted")
     counts = np.bincount(design.cell, minlength=design.rows.shape[0])
-    return _omitted(_qr_solve(design.included_rows, counts)[0], design)
+    phi = _qr_solve(design.included_rows, counts) @ design.omitted_rows
+    return OmittedTermAlgebra(phi, phi[1:, :])
 
 
 def verify_omitted_relation(data, spec):
@@ -317,11 +309,14 @@ def verify_omitted_relation(data, spec):
     check also guards R.
     """
     design = build_design(data, spec)
+    if design.omitted_pos.size == 0:
+        raise ValueError("model is saturated; nothing is omitted")
     counts, means, ss = data.moments
-    gamma = _qr_solve(design.rows, counts)[0](means)[1:]
+    gamma = (_qr_solve(design.rows, counts) @ means)[1:]
     rows = design.included_rows
-    uns_fit, solve = _wls(rows, counts, means, ss, data.outcome, data.cell, spec.terms)
-    algebra = _omitted(solve, design)
+    A_plus = _qr_solve(rows, counts)
+    uns_fit = _wls(A_plus, rows, counts, means, ss, data.outcome, data.cell, spec.terms)
+    d = (A_plus @ design.omitted_rows)[1:]
     gamma_plus, gamma_minus = gamma[design.included_pos], gamma[design.omitted_pos]
 
     # F_+^T as cell sums, and F_- centred at its count-weighted mean
@@ -330,8 +325,8 @@ def verify_omitted_relation(data, spec):
     centered_minus = X_minus - counts @ X_minus / counts.sum()
     report = {
         "fit": uns_fit,
-        "relation_rel_err": rel_err(uns_fit.coef_noint, gamma_plus + algebra.d @ gamma_minus),
-        "correction": algebra.d @ gamma_minus,
+        "relation_rel_err": rel_err(uns_fit.coef_noint, gamma_plus + d @ gamma_minus),
+        "correction": d @ gamma_minus,
         "orthogonal_raw": float(np.abs(weighted_plus @ X_minus).max()),
         "orthogonal_centered": float(np.abs(weighted_plus @ centered_minus).max()),
         "exact_criterion": weighted_plus[1:] @ centered_minus @ gamma_minus,

@@ -22,7 +22,7 @@ from .errors import (
     Factorial2kError,
     TooManyAssignmentsError,
 )
-from .regression import _qr_solve, build_design, omitted_algebra
+from .regression import _qr_solve, build_design
 from .weighting import product_scheme
 
 ENUMERATION_GUARD = 10 ** 7
@@ -408,41 +408,37 @@ def unsaturated_moment_map(data, spec):
     """Selection-plus-correction matrix (I, D) over all canonical terms.
 
     Maps the full saturated coefficient vector into the unsaturated one:
-    columns follow the canonical term order, with identity on included
-    terms and D on omitted terms.
+    J = A_+ X, the coefficient map of the count-weighted included rows
+    applied to every design column, is the identity on the included terms
+    and D on the omitted ones.
     """
     design = build_design(data, spec)
-    p = design.included_pos.size
-    J = np.zeros((p, p + design.omitted_pos.size))
-    J[np.arange(p), design.included_pos] = 1.0
-    J[:, design.omitted_pos] = omitted_algebra(design).d
-    return J
+    counts = np.bincount(design.cell, minlength=design.rows.shape[0])
+    return (_qr_solve(design.included_rows, counts) @ design.rows)[1:, 1:]
 
 
 def compare_saturated_unsaturated(table, sizes, spec):
     """Exact covariance ordering between saturated and unsaturated fits.
 
     Every assignment has the same cell rows and sizes, so both models are
-    factored once into matrices mapping the cell means to coefficients, and
-    the enumeration evaluates them on blocks of assignments.  Reports exact
-    covariances of the included saturated and the unsaturated coefficients,
-    whether their difference is PSD, and the closed-form unsaturated
-    covariance from the potential outcomes.
+    factored once into their coefficient maps, which take the cell means to
+    the coefficients, and the enumeration evaluates them on blocks of
+    assignments.  Reports exact covariances of the included saturated and
+    the unsaturated coefficients, whether their difference is PSD, and the
+    closed-form unsaturated covariance J G (diag(S_zz/N_z) - S/N) G^T J^T
+    from the potential outcomes, with J = A_+ X.
     """
     fspec = default_spec(table.K)
     p = len(spec.terms)
     reference = observe(table, draw_assignment(sizes, np.random.default_rng(0)), fspec)
     design = build_design(reference, spec)
-    # both coefficient vectors are linear in the cell means: M Yhat
-    identity = np.eye(sizes.Q)
-    sat = _qr_solve(design.rows, sizes.sizes)[0](identity)[1:][design.included_pos]
-    uns = _qr_solve(design.included_rows, sizes.sizes)[0](identity)[1:]
-    mean, cov = exact_expectations(table, sizes, np.vstack([sat, uns]))
+    sat = _qr_solve(design.rows, sizes.sizes)[1:][design.included_pos]
+    A_plus = _qr_solve(design.included_rows, sizes.sizes)
+    mean, cov = exact_expectations(table, sizes, np.vstack([sat, A_plus[1:]]))
     mean_sat, mean_uns = mean[:p], mean[p:]
     cov_sat, cov_uns = cov[:p, :p], cov[p:, p:]
 
-    # closed-form covariance from the potential outcomes
-    J = unsaturated_moment_map(reference, spec)
+    J = (A_plus @ design.rows)[1:, 1:]
     G = contrast_matrix(product_scheme(spec.delta), spec.K).matrix
     JG = J @ G
     cov_formula = JG @ truth_covariance_of_cell_means(table, sizes) @ JG.T

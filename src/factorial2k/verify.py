@@ -51,12 +51,8 @@ def _record(err, tol=IDENTITY_RTOL):
     return {"max_rel_err": float(err), "tol": tol, "pass": bool(err <= tol)}
 
 
-def run_identity_suite(K=3, seed=0, balanced=False, delta=None, perturb=0.0):
-    """Run all identity checks; returns {identity: record}.
-
-    ``perturb`` injects an artificial offset into one comparison (negative
-    control for the failure path).
-    """
+def run_identity_suite(K=3, seed=0, balanced=False, delta=None):
+    """Run all identity checks; returns {identity: record}."""
     if K < 2:
         raise ValueError("the identity suite needs at least two factors")
     rng = np.random.default_rng(seed)
@@ -69,7 +65,7 @@ def run_identity_suite(K=3, seed=0, balanced=False, delta=None, perturb=0.0):
     else:
         delta_k = np.asarray(delta, dtype=np.float64)
     _, verification = saturated_fit(data, delta_k)
-    records["saturated_coefficients"] = _record(verification["coef_rel_err"] + perturb)
+    records["saturated_coefficients"] = _record(verification["coef_rel_err"])
     records["saturated_covariance"] = _record(verification["cov_rel_err"])
 
     # treatment-based regression identities

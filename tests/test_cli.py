@@ -215,6 +215,16 @@ def test_analyze_rejects_row_with_wrong_field_count(tmp_path, capsys, bad_row):
     assert "Traceback" not in err
 
 
+def test_analyze_field_over_csv_limit_exits_with_message(tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    path.write_text("A,B,Y\n0,0,1\n0,1," + " " * (csv.field_size_limit() + 1) + "2.5\n")
+    code, payload = run_cli(["analyze", "--input", str(path), "--factors", "A,B"], tmp_path)
+    err = capsys.readouterr().err
+    assert (code, payload) == (EXIT_VALIDATION, None)
+    assert err.startswith("error: line 3: field larger than field limit")
+    assert "Traceback" not in err
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(Path(factorial2k.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -359,12 +369,20 @@ def test_verify_pass(tmp_path):
         assert rec["pass"], name
 
 
-def test_verify_perturb_negative_control(tmp_path):
-    code, payload = run_cli(
-        ["verify", "--K", "3", "--seed", "2", "--perturb", "1e-3"], tmp_path
-    )
+def test_verify_perturb_negative_control(tmp_path, monkeypatch):
+    import factorial2k.verify as verify
+
+    fit_exactly = verify.saturated_fit
+
+    def perturbed(data, delta):
+        fit, verification = fit_exactly(data, delta)
+        return fit, {**verification, "coef_rel_err": verification["coef_rel_err"] + 1e-3}
+
+    monkeypatch.setattr(verify, "saturated_fit", perturbed)
+    code, payload = run_cli(["verify", "--K", "3", "--seed", "2"], tmp_path)
     assert code == EXIT_IDENTITY
     assert payload["pass"] is False
+    assert payload["identities"]["saturated_coefficients"]["pass"] is False
 
 
 def test_verify_bad_k(tmp_path):
@@ -372,12 +390,11 @@ def test_verify_bad_k(tmp_path):
     assert code == EXIT_VALIDATION
 
 
-def test_env_var_default_seed(tmp_path, monkeypatch, capsys):
+def test_env_var_default_seed(tmp_path, monkeypatch):
     monkeypatch.setenv("FACTORIAL2K_SEED", "123")
-    from factorial2k.cli import build_parser
-
-    args = build_parser().parse_args(["verify"])
-    assert args.seed == 123
+    code, payload = run_cli(["verify", "--K", "2"], tmp_path)
+    assert code == EXIT_OK
+    assert payload["config"]["args"]["seed"] == 123
 
 
 def test_stdout_when_no_out_flag(csv_2x2, capsys):

@@ -8,7 +8,6 @@ from factorial2k import (
     enumerate_treatments,
     equal_scheme,
     from_joint,
-    general_effect_row,
     pi_cross,
     true_effects,
 )
@@ -119,8 +118,6 @@ def test_contrast_matrix_equals_recursive_oracle(K):
     for scheme in schemes:
         got = contrast_matrix(scheme, K).matrix
         np.testing.assert_array_equal(got, _recursive_contrast_matrix(scheme, K))
-        for subset, row in zip(enumerate_subsets(K), got):
-            np.testing.assert_array_equal(general_effect_row(subset, scheme, K), row)
 
 
 def test_conditional_row_validation():
@@ -140,7 +137,7 @@ def test_contrast_matrix_rejects_more_than_max_factors():
 def test_general_effect_row_2x2_weights():
     s = from_joint([0.1, 0.2, 0.3, 0.4])
     pi_b = s.marginal((1,))
-    row = general_effect_row((0,), s, 2)
+    row = contrast_matrix(s, 2).matrix[0]  # subset (0,)
     np.testing.assert_allclose(row, [-pi_b[0], -pi_b[1], pi_b[0], pi_b[1]])
 
 
@@ -149,12 +146,12 @@ def test_interaction_row_scheme_free():
     for _ in range(5):
         s = from_joint(rng.dirichlet(np.ones(4)))
         np.testing.assert_allclose(
-            general_effect_row((0, 1), s, 2), [1.0, -1.0, -1.0, 1.0]
+            contrast_matrix(s, 2).matrix[2], [1.0, -1.0, -1.0, 1.0]
         )
 
 
 def test_general_effect_row_equal_scheme():
-    row = general_effect_row((0,), equal_scheme(2), 2)
+    row = contrast_matrix(equal_scheme(2), 2).matrix[0]
     np.testing.assert_allclose(row, [-0.5, -0.5, 0.5, 0.5])
 
 

@@ -21,6 +21,8 @@ from factorial2k import (
 )
 from factorial2k.errors import RankDeficientError
 from factorial2k.regression import (
+    _qr_solve,
+    _wls,
     closed_form_two_way_omitted_map,
     effective_additive_weights,
     rel_err,
@@ -294,6 +296,41 @@ def test_wls_weighted_sandwich_oracle():
     np.testing.assert_allclose(fit.coefficients, beta, rtol=1e-10)
     np.testing.assert_allclose(fit.residuals, resid, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(fit.robust_cov, bread @ xw.T @ xw @ bread, rtol=1e-10)
+
+
+@pytest.mark.parametrize("layout", ["random", "singletons", "empty_cell"])
+@pytest.mark.parametrize("weighting", ["ols", "wls"])
+def test_coefficient_map_hc0_matches_unit_sandwich(layout, weighting):
+    # cell level: beta = A ybar, HC0 = A diag(RSS_z / N_z^2) A^T; oracle: the
+    # explicit weighted sandwich over the unit rows
+    rng = np.random.default_rng(57)
+    sizes = rng.integers(2, 7, size=8)
+    if layout == "singletons":
+        sizes[1::3] = 1
+    if layout == "empty_cell":
+        sizes[5] = 0
+    data = make_dataset(3, sizes, lambda c, r: c + r.normal(), rng)
+    design = build_design(data, additive_spec(rng.uniform(0, 1, 3)))
+    X = design.included_rows
+    counts, means, ss = data.moments
+    unit_w = np.ones(8) if weighting == "ols" else 1.0 / np.maximum(counts, 1)
+    A = _qr_solve(X, counts * unit_w)
+    fit = _wls(A, X, counts, means, ss, data.outcome, data.cell)
+    rss = ss + counts * (means - X @ (A @ means)) ** 2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        hc0 = A @ np.diag(np.where(counts > 0, rss / counts ** 2, 0.0)) @ A.T
+
+    Xu, w, y = design.included, unit_w[data.cell], data.outcome
+    bread = np.linalg.inv(Xu.T @ (Xu * w[:, None]))
+    beta = bread @ Xu.T @ (w * y)
+    xw = Xu * (w * (y - Xu @ beta))[:, None]
+    sandwich = bread @ xw.T @ xw @ bread
+    assert rel_err(A @ means, beta) <= 1e-10
+    assert rel_err(fit.coefficients, beta) <= 1e-10
+    assert rel_err(hc0, sandwich) <= 1e-10
+    assert rel_err(fit.robust_cov, sandwich) <= 1e-10
+    if layout == "empty_cell":
+        assert not A[:, 5].any()
 
 
 def _assert_matches_unit_rows(data, spec, fit, weights):

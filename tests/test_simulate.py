@@ -34,7 +34,7 @@ from factorial2k.simulate import (
     truth_covariance_of_cell_means,
     unsaturated_moment_map,
 )
-from factorial2k.regression import build_design, ols_fit
+from factorial2k.regression import ModelSpec, build_design, ols_fit, omitted_algebra
 
 from conftest import spy_calls
 
@@ -247,6 +247,31 @@ def test_compare_saturated_unsaturated_solves_coefficients_only(monkeypatch):
     table = PotentialOutcomeTable(rng.normal(0.0, 1.0, size=(8, 4)))
     compare_saturated_unsaturated(table, SIZES_2222, additive_spec([0.5, 0.5]))
     assert fits == []
+
+
+def test_compare_saturated_unsaturated_factors_each_model_once(monkeypatch):
+    # one design, one coefficient map per model; J reuses the unsaturated map
+    maps = spy_calls(monkeypatch, "regression", "_qr_solve")
+    designs = spy_calls(monkeypatch, "regression", "build_design")
+    rng = np.random.default_rng(65)
+    table = PotentialOutcomeTable(rng.normal(0.0, 1.0, size=(8, 4)))
+    report = compare_saturated_unsaturated(table, SIZES_2222, additive_spec([0.3, 0.6]))
+    assert (len(maps), len(designs)) == (2, 1)
+    np.testing.assert_allclose(
+        report["cov_unsaturated"], report["cov_unsaturated_formula"], atol=1e-12
+    )
+
+
+def test_unsaturated_moment_map_is_identity_plus_omitted_map():
+    rng = np.random.default_rng(66)
+    sizes = np.array([1, 2, 1, 1, 3, 1, 2, 1])
+    cells = rng.permutation(np.repeat(np.arange(8), sizes))
+    data = observe(make_no_three_way_population(sizes.sum(), 3, 66), cells)
+    spec = ModelSpec(rng.uniform(0, 1, 3), ((0,), (1,), (2,), (0, 2)))
+    design = build_design(data, spec)
+    J = unsaturated_moment_map(data, spec)
+    np.testing.assert_allclose(J[:, design.included_pos], np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(J[:, design.omitted_pos], omitted_algebra(design).d, rtol=1e-12)
 
 
 def test_sim_report_roundtrip(small_population):

@@ -41,8 +41,17 @@ def test_suite_explicit_delta():
     assert suite_passed(records)
 
 
-def test_perturb_negative_control():
-    records = run_identity_suite(K=3, seed=0, perturb=1e-3)
+def test_perturb_negative_control(monkeypatch):
+    import factorial2k.verify as verify
+
+    fit_exactly = verify.saturated_fit
+
+    def perturbed(data, delta):
+        fit, verification = fit_exactly(data, delta)
+        return fit, {**verification, "coef_rel_err": verification["coef_rel_err"] + 1e-3}
+
+    monkeypatch.setattr(verify, "saturated_fit", perturbed)
+    records = run_identity_suite(K=3, seed=0)
     assert not suite_passed(records)
     assert not records["saturated_coefficients"]["pass"]
 
