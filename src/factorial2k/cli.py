@@ -66,7 +66,8 @@ def resolve_scheme(name, summary, K):
 
 
 def _emit(payload, out):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    # strict JSON: a non-finite number raises ValueError rather than writing NaN
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -171,7 +172,12 @@ def cmd_simulate(args):
 
     count = sizes.assignment_count()
     payload = {"config": _run_config(args), "truth": truth.tolist()}
-    if args.exact and count <= ENUMERATION_GUARD:
+    if args.exact:
+        if count > ENUMERATION_GUARD:
+            raise TooManyAssignmentsError(
+                f"{count} assignments exceed the enumeration guard of "
+                f"{ENUMERATION_GUARD}; drop --exact to run Monte Carlo"
+            )
         mean, cov = exact_expectations(table, sizes, G)
         bias = float(np.abs(mean - truth).max())
         # rounding in the estimates grows with the outcome scale, not the effects
@@ -185,15 +191,6 @@ def cmd_simulate(args):
         }
         _emit(payload, args.out)
         return EXIT_OK if payload["report"]["unbiasedness"]["pass"] else EXIT_IDENTITY
-    if args.exact and not args.allow_mc:
-        raise TooManyAssignmentsError(
-            f"{count} assignments exceed the enumeration guard; pass --allow-mc"
-        )
-    if args.exact:
-        print(
-            f"warning: {count} assignments exceed the guard; falling back to Monte Carlo",
-            file=sys.stderr,
-        )
     report = monte_carlo(
         table,
         sizes,
@@ -254,9 +251,8 @@ def _build_parser():
     ps.add_argument("--alpha", type=float, default=0.05)
     ps.add_argument("--reps", type=int, default=10000)
     ps.add_argument("--seed", type=int)
-    ps.add_argument("--workers", type=int, default=1)
+    ps.add_argument("--workers", type=int, default=1, help="accepted, >= 1; does not change the run")
     ps.add_argument("--exact", action="store_true", help="enumerate all assignments")
-    ps.add_argument("--allow-mc", action="store_true", help="fall back to Monte Carlo when enumeration is infeasible")
     ps.add_argument("--out")
     ps.set_defaults(func=cmd_simulate)
 

@@ -74,10 +74,8 @@ def conditional_effect_row(subset, rest, K):
 class ContrastMatrix:
     """(2^K - 1) x 2^K matrix mapping cell means to general effects."""
 
-    K: int
     matrix: np.ndarray
     subsets: tuple
-    scheme: object
 
 
 def contrast_matrix(scheme, K):
@@ -89,16 +87,13 @@ def contrast_matrix(scheme, K):
     _check_K(K)
     if scheme.K != K:
         raise DimensionMismatchError("scheme and K disagree")
-    # the cache holds no ContrastMatrix: one would hold the scheme back, and
-    # the reference cycle would keep G alive until a full garbage collection
     if "contrast_matrix" not in scheme._cache:
         subsets = tuple(enumerate_subsets(K))
         weights = [_complement_weights(s, scheme) for s in subsets]
         rows = _sign_formula(subsets, weights, K)
         rows.setflags(write=False)
-        scheme._cache["contrast_matrix"] = subsets, rows
-    subsets, rows = scheme._cache["contrast_matrix"]
-    return ContrastMatrix(K, rows, subsets, scheme)
+        scheme._cache["contrast_matrix"] = ContrastMatrix(rows, subsets)
+    return scheme._cache["contrast_matrix"]
 
 
 def true_effects(means, scheme):

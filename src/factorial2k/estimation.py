@@ -38,7 +38,6 @@ def moment_estimates(data):
 class InferenceReport:
     """Effect estimates with covariance, Wald intervals, and z statistics."""
 
-    subsets: tuple
     labels: tuple
     estimate: np.ndarray
     covariance: np.ndarray
@@ -101,7 +100,8 @@ class InferenceReport:
                 "se": float(se[i]),
                 "ci_low": float(low[i]),
                 "ci_high": float(high[i]),
-                "z": float(z[i]),
+                # no z statistic without a standard error
+                "z": float(z[i]) if se[i] > 0 else None,
             }
             for i, label in enumerate(self.labels)
         }
@@ -120,4 +120,4 @@ def effect_estimates(data, scheme, alpha=0.05):
     tau = G @ est.y_hat
     cov = (G * est.v_hat) @ G.T
     labels = tuple(data.spec.subset_label(s) for s in cm.subsets)
-    return InferenceReport(cm.subsets, labels, tau, cov, alpha)
+    return InferenceReport(labels, tau, cov, alpha)

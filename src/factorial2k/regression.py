@@ -100,11 +100,13 @@ class DesignMatrix:
         return self.omitted_rows[self.cell]
 
 
-def build_design(data, spec):
-    """Intercept plus shifted-product columns prod_{k in S}(z_k - delta_k)."""
+def _cell_rows(spec):
+    """Cell rows of the model: all, included and omitted columns, and their term positions.
+
+    Intercept plus shifted-product columns prod_{k in S}(z_k - delta_k), one
+    row per cell; they depend on the shifts and K alone.
+    """
     K = spec.K
-    if data.spec.K != K:
-        raise ValueError("data and model disagree on the number of factors")
     shifted = np.array(enumerate_treatments(K), dtype=np.float64) - spec.delta.delta
     subsets = enumerate_subsets(K)
     rows = np.column_stack(
@@ -114,9 +116,14 @@ def build_design(data, spec):
     is_plus = np.array([s in included for s in subsets])
     plus_pos, minus_pos = np.flatnonzero(is_plus), np.flatnonzero(~is_plus)
     included_rows = rows[:, np.concatenate([[0], 1 + plus_pos])]
-    return DesignMatrix(
-        spec, rows, included_rows, rows[:, 1 + minus_pos], plus_pos, minus_pos, data.cell
-    )
+    return rows, included_rows, rows[:, 1 + minus_pos], plus_pos, minus_pos
+
+
+def build_design(data, spec):
+    """The model's cell rows with each unit's cell."""
+    if data.spec.K != spec.K:
+        raise ValueError("data and model disagree on the number of factors")
+    return DesignMatrix(spec, *_cell_rows(spec), data.cell)
 
 
 @dataclass(frozen=True)
@@ -131,7 +138,6 @@ class FitResult:
 
     terms: tuple
     coefficients: np.ndarray
-    residuals: np.ndarray
     robust_cov: np.ndarray
 
     @property
@@ -179,7 +185,7 @@ def _qr_solve(X, weights):
     return A
 
 
-def _wls(A, rows, counts, means, ss, y, cell, terms=()):
+def _wls(A, rows, counts, means, ss, terms=()):
     """Least squares on cell rows with HC0, the kernel of every fit.
 
     ``A`` is the coefficient map of the cell rows x_z, weighted by N_z w_z:
@@ -187,23 +193,20 @@ def _wls(A, rows, counts, means, ss, y, cell, terms=()):
     ybar_z and within-cell sum of squares SS_z.  Then beta = A ybar and
     HC0 = A diag(RSS_z / N_z^2) A^T with RSS_z = SS_z + N_z (ybar_z -
     x_z^T beta)^2; column z of A is N_z w_z (X^T W X)^{-1} x_z, so the
-    weights cancel, and an empty cell contributes nothing.  The residuals
-    are the unit-level ``y - (X beta)[cell]``.
+    weights cancel, and an empty cell contributes nothing.
     """
     beta = A @ means
-    fitted = rows @ beta
-    rss = ss + counts * (means - fitted) ** 2
+    rss = ss + counts * (means - rows @ beta) ** 2
     cov = (A * (rss / np.maximum(counts, 1) ** 2)) @ A.T
-    return FitResult(tuple(terms), beta, y - fitted[cell], cov)
+    return FitResult(tuple(terms), beta, cov)
 
 
-def ols_fit(X, y, terms=()):
+def ols_fit(X, y):
     """Plain least squares with HC0 on an explicit design matrix, each row its own cell."""
-    y = np.asarray(y, dtype=np.float64)
-    return _wls(_qr_solve(X, 1.0), X, 1.0, y, 0.0, y, np.arange(y.size), terms)
+    return _wls(_qr_solve(X, 1.0), X, 1.0, np.asarray(y, dtype=np.float64), 0.0)
 
 
-def treatment_based_fit(data, check_tol=1e-8):
+def treatment_based_fit(data):
     """OLS of Y on the Q cell indicators without intercept, with HC0.
 
     Numerically this reproduces the moment route: the coefficients equal
@@ -213,10 +216,10 @@ def treatment_based_fit(data, check_tol=1e-8):
     """
     est = moment_estimates(data)
     fit = ols_fit(np.eye(data.spec.Q)[data.cell], data.outcome)
-    if rel_err(fit.coefficients, est.y_hat) > check_tol:
+    if rel_err(fit.coefficients, est.y_hat) > IDENTITY_RTOL:
         raise IdentityViolationError("treatment-based coefficients != cell means")
     expected_v0 = np.diag((1.0 - 1.0 / est.counts) * est.v_hat)
-    if rel_err(fit.robust_cov, expected_v0) > check_tol:
+    if rel_err(fit.robust_cov, expected_v0) > IDENTITY_RTOL:
         raise IdentityViolationError("treatment-based HC0 != diag(1-1/N_z) Vhat")
     return fit.coefficients, fit.robust_cov
 
@@ -234,7 +237,7 @@ def saturated_fit(data, delta):
     counts, means, ss = data.moments
     rows = build_design(data, spec).rows
     A = _qr_solve(rows, counts)
-    fit = _wls(A, rows, counts, means, ss, data.outcome, data.cell, spec.terms)
+    fit = _wls(A, rows, counts, means, ss, spec.terms)
     G = contrast_matrix(product_scheme(spec.delta), spec.K).matrix
     verification = {"coef_rel_err": rel_err(fit.coef_noint, G @ means), "cov_rel_err": None}
     ok = verification["coef_rel_err"] <= IDENTITY_RTOL
@@ -253,19 +256,19 @@ def unsaturated_fit(data, spec):
     counts, means, ss = data.moments
     rows = build_design(data, spec).included_rows
     A = _qr_solve(rows, counts)
-    return _wls(A, rows, counts, means, ss, data.outcome, data.cell, spec.terms)
+    return _wls(A, rows, counts, means, ss, spec.terms)
 
 
 def wls_fit(data, spec):
     """Weighted least squares with unit weights 1/N_{Z_i}, so each cell weighs one.
 
-    HC0 is the weighted sandwich; the residuals are the unweighted y - X beta.
+    HC0 is the weighted sandwich.
     """
     counts, means, ss = data.moments
     rows = build_design(data, spec).included_rows
     # the cell weight N_z w_z is one for every nonempty cell
     A = _qr_solve(rows, counts / np.maximum(counts, 1))
-    return _wls(A, rows, counts, means, ss, data.outcome, data.cell, spec.terms)
+    return _wls(A, rows, counts, means, ss, spec.terms)
 
 
 @dataclass(frozen=True)
@@ -315,7 +318,7 @@ def verify_omitted_relation(data, spec):
     gamma = (_qr_solve(design.rows, counts) @ means)[1:]
     rows = design.included_rows
     A_plus = _qr_solve(rows, counts)
-    uns_fit = _wls(A_plus, rows, counts, means, ss, data.outcome, data.cell, spec.terms)
+    uns_fit = _wls(A_plus, rows, counts, means, ss, spec.terms)
     d = (A_plus @ design.omitted_rows)[1:]
     gamma_plus, gamma_minus = gamma[design.included_pos], gamma[design.omitted_pos]
 

@@ -8,7 +8,6 @@ to enumerate.
 """
 
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 import math
 
@@ -22,7 +21,7 @@ from .errors import (
     Factorial2kError,
     TooManyAssignmentsError,
 )
-from .regression import _qr_solve, build_design
+from .regression import _cell_rows, _qr_solve, build_design
 from .weighting import product_scheme
 
 ENUMERATION_GUARD = 10 ** 7
@@ -110,13 +109,12 @@ class DesignSizes:
         return count
 
 
-def observe(table, cells, spec=None):
+def observe(table, cells):
     """Observed dataset from a potential-outcome table and a cell assignment."""
-    spec = spec or default_spec(table.K)
     cells = np.asarray(cells, dtype=np.int64)
     levels = np.array(enumerate_treatments(table.K), dtype=np.int64)[cells]
     outcome = table.values[np.arange(table.N), cells]
-    return AssignmentTable(spec, levels, outcome)
+    return AssignmentTable(default_spec(table.K), levels, outcome)
 
 
 def draw_assignment(sizes, rng):
@@ -154,7 +152,7 @@ def enumerate_assignments(sizes):
     return rec(0)
 
 
-def _block_evaluator(table, sizes, estimator, spec):
+def _block_evaluator(table, sizes, estimator):
     """Map a (B, N) block of cell assignments to its estimates.
 
     Returns ``(estimates, failures, variances, cov_sum)``: the estimates of
@@ -178,13 +176,11 @@ def _block_evaluator(table, sizes, estimator, spec):
 
         return moments
 
-    spec = spec or default_spec(table.K)
-
     def per_table(cells):
         estimates, variances, failures, cov_sum = [], [], 0, 0.0
         for row in cells:
             try:
-                out = estimator(observe(table, row, spec))
+                out = estimator(observe(table, row))
             except Factorial2kError:
                 failures += 1
                 continue
@@ -201,26 +197,18 @@ def _block_evaluator(table, sizes, estimator, spec):
     return per_table
 
 
-def _drive(blocks, evaluate, workers=1, truth=None, alpha=0.05):
-    """Evaluate blocks of assignments and reduce them in replicate order.
+def _drive(blocks, evaluate, truth=None, alpha=0.05):
+    """Evaluate blocks of assignments in order and reduce them in replicate order.
 
-    ``workers`` threads evaluate the blocks when there is more than one
-    (``blocks`` is then a list); the block boundaries are the caller's, so
-    the result does not depend on the worker count.  Means and covariances
-    accumulate deviations from the first estimate, which keeps them exact
-    under a large common offset.
+    Means and covariances accumulate deviations from the first estimate,
+    which keeps them exact under a large common offset.
     Returns ``(n, failures, mean, cov, mean_cov, coverage)``; the last two
     are None without covariances, and coverage also without ``truth``.
     """
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, blocks))
-    else:
-        results = map(evaluate, blocks)
     zq = special.ndtri(1.0 - alpha / 2.0)
     n = failures = 0
     origin, cov_sum, have_cov = None, 0.0, True
-    for est, failed, var, cov_part in results:
+    for est, failed, var, cov_part in map(evaluate, blocks):
         failures += failed
         if not est.size:
             continue
@@ -247,7 +235,7 @@ def _drive(blocks, evaluate, workers=1, truth=None, alpha=0.05):
     return n, failures, mean, cov, mean_cov, coverage
 
 
-def exact_expectations(table, sizes, estimator, spec=None):
+def exact_expectations(table, sizes, estimator):
     """Exact design-based mean and covariance of an estimator.
 
     ``estimator`` is a (P, Q) matrix M, the moment estimator M Yhat of the
@@ -260,7 +248,7 @@ def exact_expectations(table, sizes, estimator, spec=None):
     than silently conditioned on success.  (M Yhat cannot fail: every cell
     of a design holds at least two units.)
     """
-    evaluate = _block_evaluator(table, sizes, estimator, spec)
+    evaluate = _block_evaluator(table, sizes, estimator)
     assignments = enumerate_assignments(sizes)
     rows = max(1, BLOCK_ELEMENTS // sizes.N)
     blocks = map(np.array, iter(lambda: list(islice(assignments, rows)), []))
@@ -318,7 +306,6 @@ def monte_carlo(
     truth=None,
     alpha=0.05,
     workers=1,
-    spec=None,
 ):
     """Monte Carlo design-based moments of an estimator over random draws.
 
@@ -336,24 +323,26 @@ def monte_carlo(
 
     With covariances and ``truth``, per-component Wald CI coverage at level
     ``alpha`` is recorded.  Replicate r draws from ``replicate_rng(seed, r)``.
-    The replicates are cut into fixed blocks of at most BLOCK_ELEMENTS cells;
-    ``workers`` threads evaluate the blocks when there is more than one, and
-    the results are reduced in replicate order, so the report is
-    bit-identical for a fixed (seed, reps) regardless of the worker count.
+    The replicates are cut into fixed blocks of at most BLOCK_ELEMENTS cells,
+    evaluated in order on the calling thread and reduced in replicate order.
+    ``workers`` (>= 1) is accepted for compatibility and does not change the
+    computation: the report is bit-identical for a fixed (seed, reps).
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    evaluate = _block_evaluator(table, sizes, estimator, spec)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    evaluate = _block_evaluator(table, sizes, estimator)
 
     def draw(replicates):
         cells = [draw_assignment(sizes, replicate_rng(seed, r)) for r in replicates]
         return evaluate(np.array(cells))
 
     rows = max(1, BLOCK_ELEMENTS // sizes.N)
-    blocks = [range(lo, min(lo + rows, reps)) for lo in range(0, reps, rows)]
+    blocks = (range(lo, min(lo + rows, reps)) for lo in range(0, reps, rows))
     if truth is not None:
         truth = np.asarray(truth, dtype=np.float64).ravel()
-    n, failures, mean, cov, mean_cov, coverage = _drive(blocks, draw, workers, truth, alpha)
+    n, failures, mean, cov, mean_cov, coverage = _drive(blocks, draw, truth, alpha)
     if not n:
         raise EstimatorFailureError("estimator failed on every replicate", reps)
     return SimReport("mc", reps, seed, mean, cov, mean_cov, coverage, alpha, failures)
@@ -372,7 +361,7 @@ def make_constant_effects_population(N, unit_effects, cell_offsets):
     return PotentialOutcomeTable(u[:, None] + m[None, :])
 
 
-def make_no_three_way_population(N, K, seed, noise_scale=1.0):
+def make_no_three_way_population(N, K, seed):
     """Random population whose mean surface has no three-way interactions.
 
     Each unit gets its own additive and pairwise coefficients, so effects
@@ -381,7 +370,7 @@ def make_no_three_way_population(N, K, seed, noise_scale=1.0):
     """
     rng = np.random.default_rng(seed)
     cells = np.array(enumerate_treatments(K), dtype=np.float64)
-    u = rng.normal(0.0, noise_scale, size=N)
+    u = rng.normal(0.0, 1.0, size=N)
     a = rng.normal(0.0, 1.0, size=(N, K))
     values = u[:, None] + a @ cells.T
     for j in range(K):
@@ -428,17 +417,17 @@ def compare_saturated_unsaturated(table, sizes, spec):
     closed-form unsaturated covariance J G (diag(S_zz/N_z) - S/N) G^T J^T
     from the potential outcomes, with J = A_+ X.
     """
-    fspec = default_spec(table.K)
+    if spec.K != table.K:
+        raise ValueError("population and model disagree on the number of factors")
     p = len(spec.terms)
-    reference = observe(table, draw_assignment(sizes, np.random.default_rng(0)), fspec)
-    design = build_design(reference, spec)
-    sat = _qr_solve(design.rows, sizes.sizes)[1:][design.included_pos]
-    A_plus = _qr_solve(design.included_rows, sizes.sizes)
+    rows, included_rows, _, included_pos, _ = _cell_rows(spec)
+    sat = _qr_solve(rows, sizes.sizes)[1:][included_pos]
+    A_plus = _qr_solve(included_rows, sizes.sizes)
     mean, cov = exact_expectations(table, sizes, np.vstack([sat, A_plus[1:]]))
     mean_sat, mean_uns = mean[:p], mean[p:]
     cov_sat, cov_uns = cov[:p, :p], cov[p:, p:]
 
-    J = (A_plus @ design.rows)[1:, 1:]
+    J = (A_plus @ rows)[1:, 1:]
     G = contrast_matrix(product_scheme(spec.delta), spec.K).matrix
     JG = J @ G
     cov_formula = JG @ truth_covariance_of_cell_means(table, sizes) @ JG.T

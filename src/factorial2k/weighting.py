@@ -25,7 +25,8 @@ class ShiftVector:
         d = np.asarray(self.delta, dtype=np.float64)
         if d.ndim != 1 or d.size < 1:
             raise ValueError("delta must be a nonempty vector")
-        if (d < 0).any() or (d > 1).any():
+        # NaN fails both comparisons
+        if not ((d >= 0) & (d <= 1)).all():
             raise ValueError("each delta_k must lie in [0, 1]")
         object.__setattr__(self, "delta", d)
 
@@ -52,6 +53,8 @@ class WeightingScheme:
         mass = np.asarray(self.joint, dtype=np.float64)
         if mass.shape != (2 ** self.K,):
             raise InvalidMassError(f"joint must have length {2 ** self.K}")
+        if not np.isfinite(mass).all():
+            raise InvalidMassError("joint weights must be finite")
         if (mass < 0).any():
             raise InvalidMassError("joint weights must be nonnegative")
         if abs(mass.sum() - 1.0) > NORMALIZATION_TOL:
@@ -72,12 +75,10 @@ class WeightingScheme:
         return np.array([self.marginal((k,))[1] for k in range(self.K)])
 
 
-def from_joint(mass, K=None):
+def from_joint(mass):
     """Build a coherent scheme from a joint probability vector over cells."""
     mass = np.asarray(mass, dtype=np.float64)
-    if K is None:
-        K = int(round(np.log2(mass.size)))
-    return WeightingScheme(K, mass)
+    return WeightingScheme(int(round(np.log2(mass.size))), mass)
 
 
 def equal_scheme(K):

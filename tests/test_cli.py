@@ -46,10 +46,15 @@ def csv_2x2(tmp_path):
     return str(path)
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def run_cli(args, tmp_path, name="out.json"):
+    # strict JSON: NaN, Infinity and -Infinity fail the parse
     out = tmp_path / name
     code = main(args + ["--out", str(out)])
-    payload = json.loads(out.read_text()) if out.exists() else None
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant) if out.exists() else None
     return code, payload
 
 
@@ -312,7 +317,7 @@ def test_simulate_mc_deterministic(tmp_path):
     assert p1["report"]["mode"] == "mc"
 
 
-def test_simulate_exact_guard(tmp_path):
+def test_simulate_exact_guard(tmp_path, capsys):
     # 40 units in 4 cells of 10 is far beyond the enumeration guard
     args = [
         "simulate",
@@ -324,11 +329,68 @@ def test_simulate_exact_guard(tmp_path):
         "1",
         "--exact",
     ]
-    code, _ = run_cli(args, tmp_path)
-    assert code == EXIT_VALIDATION
-    code, payload = run_cli(args + ["--allow-mc", "--reps", "20"], tmp_path, "c.json")
+    code, payload = run_cli(args, tmp_path)
+    assert (code, payload) == (EXIT_VALIDATION, None)
+    assert "drop --exact to run Monte Carlo" in capsys.readouterr().err
+    # the same design without --exact is the Monte Carlo run
+    code, payload = run_cli(args[:-1] + ["--reps", "20"], tmp_path, "c.json")
     assert code == EXIT_OK
     assert payload["report"]["mode"] == "mc"
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--allow-mc"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_simulate_rejects_worker_count_below_one(tmp_path, capsys, workers):
+    code, payload = run_cli(
+        ["simulate", "--population", "heterogeneous", "--sizes", "2,2,2,2",
+         "--reps", "5", "--workers", workers],
+        tmp_path,
+    )
+    assert (code, payload) == (EXIT_VALIDATION, None)
+    assert "workers must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["analyze", "--factors", "A,B", "--scheme", "product:0.5,nan", "--delta", "0.5,0.5"],
+         "each delta_k must lie in [0, 1]"),
+        (["analyze", "--factors", "A,B", "--delta", "0.5,nan"], "each delta_k must lie in [0, 1]"),
+        (["simulate", "--population", "heterogeneous", "--sizes", "2,2,2,2",
+          "--delta", "nan,0.5", "--reps", "5"], "each delta_k must lie in [0, 1]"),
+    ],
+)
+def test_non_finite_shifts_exit_with_message(csv_2x2, tmp_path, capsys, args, message):
+    if args[0] == "analyze":
+        args = args + ["--input", csv_2x2]
+    code, payload = run_cli(args, tmp_path)
+    assert (code, payload) == (EXIT_VALIDATION, None)
+    assert message in capsys.readouterr().err
+
+
+def test_analyze_constant_cells_writes_null_z(tmp_path):
+    # two equal outcomes per cell: every SE is 0, so no effect has a z statistic
+    path = tmp_path / "constant.csv"
+    path.write_text("A,B,Y\n0,0,1\n0,0,1\n0,1,2\n0,1,2\n1,0,3\n1,0,3\n1,1,3\n1,1,3\n")
+    code, payload = run_cli(["analyze", "--input", str(path), "--factors", "A,B"], tmp_path)
+    assert code == EXIT_OK
+    effects = payload["moment"]["effects"]
+    assert [effects[lb]["se"] for lb in ("A", "B", "A:B")] == [0.0, 0.0, 0.0]
+    assert [effects[lb]["z"] for lb in ("A", "B", "A:B")] == [None, None, None]
+    assert effects["A"]["estimate"] == pytest.approx(1.5)
+    assert effects["A:B"]["estimate"] == pytest.approx(-1.0)
+
+
+def test_emit_rejects_non_finite_numbers(tmp_path, monkeypatch, capsys):
+    import factorial2k.cli as cli
+
+    monkeypatch.setattr(cli, "run_identity_suite", lambda **kw: [{"name": "x", "value": float("nan")}])
+    monkeypatch.setattr(cli, "suite_passed", lambda records: True)
+    code, payload = run_cli(["verify", "--K", "2"], tmp_path)
+    assert (code, payload) == (EXIT_VALIDATION, None)
+    assert "JSON compliant" in capsys.readouterr().err
 
 
 def test_simulate_sizes_validation(tmp_path):

@@ -250,16 +250,23 @@ def test_compare_saturated_unsaturated_solves_coefficients_only(monkeypatch):
 
 
 def test_compare_saturated_unsaturated_factors_each_model_once(monkeypatch):
-    # one design, one coefficient map per model; J reuses the unsaturated map
+    # one coefficient map per model, from the model's cell rows alone; J
+    # reuses the unsaturated map, and no dataset is drawn to read the rows
     maps = spy_calls(monkeypatch, "regression", "_qr_solve")
-    designs = spy_calls(monkeypatch, "regression", "build_design")
+    draws = spy_calls(monkeypatch, "simulate", "draw_assignment")
+    observed = spy_calls(monkeypatch, "simulate", "observe")
     rng = np.random.default_rng(65)
     table = PotentialOutcomeTable(rng.normal(0.0, 1.0, size=(8, 4)))
     report = compare_saturated_unsaturated(table, SIZES_2222, additive_spec([0.3, 0.6]))
-    assert (len(maps), len(designs)) == (2, 1)
+    assert (len(maps), len(draws), len(observed)) == (2, 0, 0)
     np.testing.assert_allclose(
         report["cov_unsaturated"], report["cov_unsaturated_formula"], atol=1e-12
     )
+
+
+def test_compare_saturated_unsaturated_rejects_model_of_other_k(small_population):
+    with pytest.raises(ValueError, match="disagree on the number of factors"):
+        compare_saturated_unsaturated(small_population, SIZES_2222, additive_spec([0.5] * 3))
 
 
 def test_unsaturated_moment_map_is_identity_plus_omitted_map():
@@ -358,21 +365,8 @@ def test_exact_moment_matrix_matches_per_table_adaptor(K, monkeypatch):
     np.testing.assert_allclose(mean, G @ table.means, rtol=1e-12, atol=1e-14)
 
 
-def _count_pools(monkeypatch):
-    pools = []
-    real = simulate.ThreadPoolExecutor
-
-    def counting(*args, **kwargs):
-        pools.append(kwargs.get("max_workers"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", counting)
-    return pools
-
-
 def test_reports_identical_for_any_worker_count(small_population, monkeypatch):
     monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 5 * small_population.N)
-    pools = _count_pools(monkeypatch)
     G = contrast_matrix(equal_scheme(2), 2).matrix
     truth = G @ small_population.means
     for estimator in (G, _moment_callable(G)):
@@ -383,15 +377,13 @@ def test_reports_identical_for_any_worker_count(small_population, monkeypatch):
             for w in (1, 2, 8)
         ]
         assert reports[0] == reports[1] == reports[2]
-    # five blocks: only the multi-worker runs start a pool
-    assert pools == [2, 8, 2, 8]
 
 
-def test_one_block_starts_no_pool(small_population, monkeypatch):
-    pools = _count_pools(monkeypatch)
+@pytest.mark.parametrize("workers", [0, -1])
+def test_monte_carlo_rejects_worker_count_below_one(small_population, workers):
     G = contrast_matrix(equal_scheme(2), 2).matrix
-    monte_carlo(small_population, SIZES_2222, G, reps=300, seed=3, workers=8)
-    assert pools == []
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        monte_carlo(small_population, SIZES_2222, G, reps=3, seed=1, workers=workers)
 
 
 def test_block_size_bound_for_large_n(monkeypatch):

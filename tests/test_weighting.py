@@ -42,6 +42,12 @@ def test_from_joint_invalid():
         from_joint([0.3, 0.3, 0.3, 0.3])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_joint_rejects_non_finite(bad):
+    with pytest.raises(InvalidMassError, match="finite"):
+        from_joint([bad, 0.5, 0.25, 0.25])
+
+
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_equal_scheme(K):
     s = equal_scheme(K)
@@ -95,6 +101,11 @@ def test_shift_vector_bounds():
         ShiftVector(np.array([0.5, 1.2]))
     with pytest.raises(ValueError):
         ShiftVector(np.array([-0.1]))
+
+
+def test_shift_vector_rejects_nan():
+    with pytest.raises(ValueError, match=r"each delta_k must lie in \[0, 1\]"):
+        ShiftVector(np.array([0.5, np.nan]))
 
 
 def test_pi_cross_fixed_point_on_product():
