@@ -88,16 +88,8 @@ class DesignMatrix:
     cell: np.ndarray  # (N,) cell index per unit
 
     @property
-    def full(self):
-        return self.rows[self.cell]
-
-    @property
     def included(self):
         return self.included_rows[self.cell]
-
-    @property
-    def omitted(self):
-        return self.omitted_rows[self.cell]
 
 
 def _cell_rows(spec):

@@ -4,11 +4,11 @@ Ground truth is a full potential-outcome table (one column per cell).  A
 complete randomization fixes the cell sizes and draws a uniformly random
 partition of the units; exact design-based moments of any estimator follow
 by enumerating every assignment, and Monte Carlo covers designs too large
-to enumerate.
+to enumerate.  Both cut an index range (lexicographic ranks or replicate
+numbers) into the same blocks of assignments and reduce them in one driver.
 """
 
 from dataclasses import dataclass
-from itertools import islice
 import math
 
 import numpy as np
@@ -123,33 +123,58 @@ def draw_assignment(sizes, rng):
     return rng.permutation(base)
 
 
-def enumerate_assignments(sizes):
-    """Every distinct assignment exactly once (lexicographic order).
+def _blocks(n, N, make):
+    """``make`` of consecutive ranges covering 0..n-1, each of at most
+    BLOCK_ELEMENTS // N indices (at least one), in order."""
+    rows = max(1, BLOCK_ELEMENTS // N)
+    return (make(range(lo, min(lo + rows, n))) for lo in range(0, n, rows))
 
-    Guarded by the multinomial count; raises TooManyAssignmentsError above
-    10^7 assignments.
+
+def _assignments(sizes, count, ranks):
+    """(B, N) block of the assignments with the given lexicographic ranks.
+
+    Position by position, of the ``count`` assignments sharing a row's
+    prefix, count * left_v // (N - pos) put cell v next; the rank picks the
+    first cell whose running total exceeds it and keeps its offset there.
+    The guard keeps count * N below 5e10, so this is exact in int64.
     """
-    total = sizes.assignment_count()
-    if total > ENUMERATION_GUARD:
+    rank = np.array(ranks, dtype=np.int64)
+    rows = np.arange(rank.size)
+    count = np.full(rank.size, count, dtype=np.int64)
+    left = np.tile(sizes.sizes, (rank.size, 1))
+    out = np.empty((rank.size, sizes.N), dtype=np.int64)
+    for pos in range(sizes.N):
+        share = count[:, None] * left // (sizes.N - pos)
+        ends = np.cumsum(share, axis=1)
+        v = (ends <= rank[:, None]).sum(axis=1)
+        out[:, pos] = v
+        count = share[rows, v]
+        rank -= ends[rows, v] - count
+        left[rows, v] -= 1
+    return out
+
+
+def _enumeration(sizes):
+    """Blocks of every assignment in lexicographic order, behind the guard.
+
+    Raises TooManyAssignmentsError above ENUMERATION_GUARD assignments,
+    decided from lgamma: N! is formed only within a factor e of the guard.
+    """
+    log_count = math.lgamma(sizes.N + 1) - sum(math.lgamma(n + 1) for n in sizes.sizes)
+    near = log_count < math.log(ENUMERATION_GUARD) + 1
+    count = sizes.assignment_count() if near else math.inf
+    if count > ENUMERATION_GUARD:
         raise TooManyAssignmentsError(
-            f"{total} assignments exceed the guard of {ENUMERATION_GUARD}"
+            f"about 10^{log_count / math.log(10):.1f} assignments exceed the enumeration "
+            f"guard of {ENUMERATION_GUARD}; drop --exact to run Monte Carlo"
         )
-    counts = sizes.sizes.copy()
-    n = sizes.N
-    seq = np.zeros(n, dtype=np.int64)
+    return _blocks(count, sizes.N, lambda ranks: _assignments(sizes, count, ranks))
 
-    def rec(pos):
-        if pos == n:
-            yield seq.copy()
-            return
-        for v in range(counts.size):
-            if counts[v]:
-                counts[v] -= 1
-                seq[pos] = v
-                yield from rec(pos + 1)
-                counts[v] += 1
 
-    return rec(0)
+def enumerate_assignments(sizes):
+    """Every distinct assignment once, in lexicographic order: the rows of
+    the blocks exact enumeration evaluates; guarded as ``exact_expectations``."""
+    return (row for block in _enumeration(sizes) for row in block)
 
 
 def _block_evaluator(table, sizes, estimator):
@@ -240,19 +265,16 @@ def exact_expectations(table, sizes, estimator):
 
     ``estimator`` is a (P, Q) matrix M, the moment estimator M Yhat of the
     cell means, or a callable mapping an AssignmentTable to a flat vector.
-    Every assignment is enumerated, in blocks of at most BLOCK_ELEMENTS
-    cells: M is applied to a whole block's cell means from one cell-moment
-    pass, a callable to ``observe`` of each assignment.  Assignments on
-    which a callable raises a package error are counted and reported via
-    EstimatorFailureError; exact moments are undefined in that case rather
-    than silently conditioned on success.  (M Yhat cannot fail: every cell
-    of a design holds at least two units.)
+    Lexicographic ranks are unranked into the blocks Monte Carlo uses: M is
+    applied to a whole block's cell means from one cell-moment pass, a
+    callable to ``observe`` of each assignment.  Above ENUMERATION_GUARD
+    assignments, decided before any N! is formed, it raises
+    TooManyAssignmentsError.  A callable's package errors are counted and
+    reported via EstimatorFailureError: exact moments conditioned on success
+    would not be exact.  (M Yhat cannot fail: each cell holds >= 2 units.)
     """
     evaluate = _block_evaluator(table, sizes, estimator)
-    assignments = enumerate_assignments(sizes)
-    rows = max(1, BLOCK_ELEMENTS // sizes.N)
-    blocks = map(np.array, iter(lambda: list(islice(assignments, rows)), []))
-    n, failures, mean, cov, _, _ = _drive(blocks, evaluate)
+    n, failures, mean, cov, _, _ = _drive(_enumeration(sizes), evaluate)
     if failures:
         raise EstimatorFailureError(
             f"estimator failed on {failures} of {n + failures} assignments", failures
@@ -297,16 +319,7 @@ def replicate_rng(seed, r):
     return np.random.default_rng(np.random.SeedSequence((seed, r)))
 
 
-def monte_carlo(
-    table,
-    sizes,
-    estimator,
-    reps,
-    seed,
-    truth=None,
-    alpha=0.05,
-    workers=1,
-):
+def monte_carlo(table, sizes, estimator, reps, seed, truth=None, alpha=0.05, workers=1):
     """Monte Carlo design-based moments of an estimator over random draws.
 
     ``estimator`` takes one of two forms:
@@ -323,8 +336,8 @@ def monte_carlo(
 
     With covariances and ``truth``, per-component Wald CI coverage at level
     ``alpha`` is recorded.  Replicate r draws from ``replicate_rng(seed, r)``.
-    The replicates are cut into fixed blocks of at most BLOCK_ELEMENTS cells,
-    evaluated in order on the calling thread and reduced in replicate order.
+    Replicate numbers are cut into the blocks exact enumeration cuts its
+    ranks into, evaluated in order and reduced in replicate order.
     ``workers`` (>= 1) is accepted for compatibility and does not change the
     computation: the report is bit-identical for a fixed (seed, reps).
     """
@@ -333,16 +346,12 @@ def monte_carlo(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     evaluate = _block_evaluator(table, sizes, estimator)
-
-    def draw(replicates):
-        cells = [draw_assignment(sizes, replicate_rng(seed, r)) for r in replicates]
-        return evaluate(np.array(cells))
-
-    rows = max(1, BLOCK_ELEMENTS // sizes.N)
-    blocks = (range(lo, min(lo + rows, reps)) for lo in range(0, reps, rows))
+    blocks = _blocks(reps, sizes.N, lambda replicates: np.array(
+        [draw_assignment(sizes, replicate_rng(seed, r)) for r in replicates]
+    ))
     if truth is not None:
         truth = np.asarray(truth, dtype=np.float64).ravel()
-    n, failures, mean, cov, mean_cov, coverage = _drive(blocks, draw, truth, alpha)
+    n, failures, mean, cov, mean_cov, coverage = _drive(blocks, evaluate, truth, alpha)
     if not n:
         raise EstimatorFailureError("estimator failed on every replicate", reps)
     return SimReport("mc", reps, seed, mean, cov, mean_cov, coverage, alpha, failures)

@@ -43,6 +43,18 @@ def test_trace_target_resolves(module_name, attr):
     assert callable(_resolve(module_name, attr))
 
 
+def test_generator_targets_return_iterators():
+    # the traced pass calls next() on what a GENERATORS target returns
+    tracing = _load_tracing()
+    sample_args = {"simulate.enumerate_assignments": (DesignSizes(np.array([2, 2])),)}
+    assert set(sample_args) == tracing.GENERATORS
+    for module_name, attr, name in tracing.TARGETS:
+        if name in tracing.GENERATORS:
+            out = _resolve(module_name, attr)(*sample_args[name])
+            assert iter(out) is out
+            assert next(out).shape == (4,)
+
+
 def test_contrast_sweep_and_reference_names():
     assert contrast_matrix(equal_scheme(3), 3).matrix.shape == (7, 8)
     assert factorial2k.regression.IDENTITY_RTOL > 0

@@ -26,6 +26,7 @@ from factorial2k.cli import (
 )
 from factorial2k.core import FactorSpec
 from factorial2k.errors import ParseError
+from factorial2k.simulate import DesignSizes
 
 from conftest import spy_calls
 
@@ -339,6 +340,36 @@ def test_simulate_exact_guard(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(args + ["--allow-mc"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--reps", "0"], "reps must be >= 1"),
+        (["--workers", "0"], "workers must be >= 1"),
+        (["--workers", "0", "--reps", "0"], "reps must be >= 1"),
+    ],
+)
+def test_simulate_exact_validates_reps_and_workers(tmp_path, capsys, flags, message):
+    code, payload = run_cli(
+        ["simulate", "--population", "heterogeneous", "--sizes", "2,2,2,2", "--exact", *flags],
+        tmp_path,
+    )
+    assert (code, payload) == (EXIT_VALIDATION, None)
+    assert message in capsys.readouterr().err
+
+
+def test_simulate_mc_never_counts_assignments(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("Monte Carlo formed the assignment count")
+
+    monkeypatch.setattr(DesignSizes, "assignment_count", refuse)
+    code, payload = run_cli(
+        ["simulate", "--population", "heterogeneous", "--sizes", "2,2,2,2", "--reps", "20"],
+        tmp_path,
+    )
+    assert code == EXIT_OK
+    assert payload["report"]["mode"] == "mc"
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

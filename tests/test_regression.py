@@ -34,16 +34,18 @@ from conftest import make_dataset
 
 def test_build_design_half_shift(balanced_2x2):
     design = build_design(balanced_2x2, saturated_spec([0.5, 0.5]))
-    assert design.full.shape == (8, 4)
-    assert set(np.unique(design.full[:, 1])) == {-0.5, 0.5}
-    assert set(np.unique(design.full[:, 3])) == {-0.25, 0.25}
+    full = design.rows[design.cell]
+    assert full.shape == (8, 4)
+    assert set(np.unique(full[:, 1])) == {-0.5, 0.5}
+    assert set(np.unique(full[:, 3])) == {-0.25, 0.25}
 
 
 def test_build_design_zero_shift_is_dummy(balanced_2x2):
     design = build_design(balanced_2x2, saturated_spec([0.0, 0.0]))
-    np.testing.assert_array_equal(design.full[:, 1], balanced_2x2.assignment[:, 0])
+    full = design.rows[design.cell]
+    np.testing.assert_array_equal(full[:, 1], balanced_2x2.assignment[:, 0])
     np.testing.assert_array_equal(
-        design.full[:, 3],
+        full[:, 3],
         balanced_2x2.assignment[:, 0] * balanced_2x2.assignment[:, 1],
     )
 
@@ -51,8 +53,9 @@ def test_build_design_zero_shift_is_dummy(balanced_2x2):
 def test_build_design_sign_coding_relation(balanced_2x2):
     design = build_design(balanced_2x2, saturated_spec([0.5, 0.5]))
     signs = 2.0 * balanced_2x2.assignment - 1.0
-    np.testing.assert_array_equal(design.full[:, 1], signs[:, 0] / 2)
-    np.testing.assert_array_equal(design.full[:, 3], signs[:, 0] * signs[:, 1] / 4)
+    full = design.rows[design.cell]
+    np.testing.assert_array_equal(full[:, 1], signs[:, 0] / 2)
+    np.testing.assert_array_equal(full[:, 3], signs[:, 0] * signs[:, 1] / 4)
 
 
 def test_ols_intercept_only():
@@ -161,7 +164,7 @@ def test_omitted_algebra_balanced_half_shift_zero():
     algebra = omitted_algebra(design)
     np.testing.assert_allclose(algebra.d, np.zeros_like(algebra.d), atol=1e-14)
     # included columns orthogonal to the residual matrix
-    residual_matrix = design.omitted - design.included @ algebra.phi
+    residual_matrix = design.omitted_rows[design.cell] - design.included @ algebra.phi
     assert np.abs(design.included.T @ residual_matrix).max() <= 1e-9
 
 
@@ -272,8 +275,9 @@ def test_exact_criterion_matches_residual_regression_oracle(K):
         spec = ModelSpec(rng.uniform(0, 1, K), tuple(all_terms[i] for i in chosen))
         report = verify_omitted_relation(data, spec)
         design = build_design(data, spec)
-        R = design.omitted - design.included @ omitted_algebra(design).phi
-        centered = design.omitted - design.omitted.mean(axis=0)
+        omitted = design.omitted_rows[design.cell]
+        R = omitted - design.included @ omitted_algebra(design).phi
+        centered = omitted - omitted.mean(axis=0)
         oracle = (
             design.included[:, 1:].T
             @ centered

@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -86,6 +89,38 @@ def test_enumeration_guard():
     assert sizes.assignment_count() > 10 ** 7
     with pytest.raises(TooManyAssignmentsError):
         list(enumerate_assignments(sizes))
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (2, 3, 2), (3, 2, 2)])
+def test_enumerate_assignments_lexicographic(sizes):
+    # the order fixes the blocks and so the exact reports bit for bit
+    base = np.repeat(np.arange(len(sizes)), sizes).tolist()
+    out = [tuple(a) for a in enumerate_assignments(DesignSizes(np.array(sizes)))]
+    assert out == sorted(set(itertools.permutations(base)))
+
+
+def test_enumerate_assignments_many_units():
+    first = next(enumerate_assignments(DesignSizes(np.array([2, 1200]))))
+    np.testing.assert_array_equal(first, [0, 0] + [1] * 1200)
+
+
+def test_unrank_exact_at_largest_design_under_guard():
+    # C(4472, 2) is just under the guard, so count * N peaks near 4.5e10 here
+    sizes = DesignSizes(np.array([2, 4470]))
+    count = sizes.assignment_count()
+    assert count <= simulate.ENUMERATION_GUARD
+    out = simulate._assignments(sizes, count, [0, 1, count - 2, count - 1])
+    np.testing.assert_array_equal(out[0], [0, 0] + [1] * 4470)
+    np.testing.assert_array_equal(out[1], [0, 1, 0] + [1] * 4469)
+    np.testing.assert_array_equal(out[2], [1] * 4469 + [0, 1, 0])
+    np.testing.assert_array_equal(out[3], [1] * 4470 + [0, 0])
+
+
+def test_enumeration_guard_forms_no_factorial():
+    start = time.perf_counter()
+    with pytest.raises(TooManyAssignmentsError):
+        next(enumerate_assignments(DesignSizes([3_000_000, 3_000_000])))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exact_mean_and_cov_of_cell_means(small_population):
