@@ -1,9 +1,12 @@
 """Command-line front end: analyze, simulate, verify.
 
 Output is JSON-first; every run embeds its configuration, seed, and the
-package version for reproducibility.  Exit codes: 0 ok, 1 validation
-error (including an unreadable input or unwritable output file), 2
-numerical failure, 3 identity/verification failure.
+package version for reproducibility.  ``analyze`` reports per-effect
+estimates, SEs, CIs and z, and regression coefficients with robust SEs; the
+two full covariance matrices are written only with ``--covariance``.  Exit
+codes: 0 ok, 1 validation error (including an unreadable input or
+unwritable output file), 2 numerical failure, 3 identity/verification
+failure, 4 internal error (an unexpected exception, reported in one line).
 """
 
 import argparse
@@ -42,6 +45,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_IDENTITY = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_floats(text, K, what):
@@ -104,7 +108,7 @@ def cmd_analyze(args):
     report = effect_estimates(data, scheme, alpha=args.alpha)
     payload = {
         "config": _run_config(args),
-        "moment": report.to_dict(),
+        "moment": report.to_dict(covariance=args.covariance),
         "delta": delta.tolist(),
     }
 
@@ -115,7 +119,7 @@ def cmd_analyze(args):
     if model is None or model.saturated:
         fit, verification = saturated_fit(data, shifts)
         max_rel_err = max(verification["coef_rel_err"], verification["cov_rel_err"] or 0.0)
-        payload["regression"] = fit.to_dict(spec)
+        payload["regression"] = fit.to_dict(spec, covariance=args.covariance)
         payload["verification"] = {
             "identity": "saturated vs moment",
             "max_rel_err": max_rel_err,
@@ -123,7 +127,7 @@ def cmd_analyze(args):
         }
     else:
         rel = verify_omitted_relation(data, model)
-        payload["regression"] = rel["fit"].to_dict(spec)
+        payload["regression"] = rel["fit"].to_dict(spec, covariance=args.covariance)
         payload["verification"] = {
             "identity": "unsaturated = saturated + correction",
             "max_rel_err": rel["relation_rel_err"],
@@ -238,6 +242,11 @@ def _build_parser():
     pa.add_argument("--delta", help="comma-separated shifts; default: scheme marginals")
     pa.add_argument("--model", help="comma-separated terms, e.g. A,B,A:B; default saturated")
     pa.add_argument("--alpha", type=float, default=0.05)
+    pa.add_argument(
+        "--covariance",
+        action="store_true",
+        help="also write the effect covariance and the robust coefficient covariance",
+    )
     pa.add_argument("--out")
     pa.set_defaults(func=cmd_analyze)
 
@@ -280,6 +289,11 @@ def main(argv=None):
     except (RankDeficientError, Factorial2kError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except Exception as exc:
+        # a bug, not bad input: one line instead of a traceback
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

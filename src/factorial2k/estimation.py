@@ -91,7 +91,8 @@ class InferenceReport:
             "p_value": float(special.chdtrc(rank, statistic)),
         }
 
-    def to_dict(self):
+    def to_dict(self, covariance=False):
+        """Per-effect estimates, SEs, CIs and z; the full ``covariance`` only on request."""
         se, half, z = self.se, self.ci_half_width, self.z_stat
         low, high = self.estimate - half, self.estimate + half
         effects = {
@@ -105,11 +106,10 @@ class InferenceReport:
             }
             for i, label in enumerate(self.labels)
         }
-        return {
-            "alpha": self.alpha,
-            "effects": effects,
-            "covariance": self.covariance.tolist(),
-        }
+        out = {"alpha": self.alpha, "effects": effects}
+        if covariance:
+            out["covariance"] = self.covariance.tolist()
+        return out
 
 
 def effect_estimates(data, scheme, alpha=0.05):

@@ -6,7 +6,9 @@ estimator of the general effects under the product weighting scheme built
 from delta; unsaturated fits relate to the saturated coefficients through
 the omitted-term coefficient matrix (the column-wise regression of the
 omitted design columns on the included ones).  Every fit runs on the 2^K
-cell rows of the design, weighted by the cell counts.
+cell rows of the design, weighted by the cell counts: the saturated rows are
+square and inverted in closed form as a Kronecker product, any other model
+is solved by one pivoted QR.
 """
 
 from dataclasses import dataclass
@@ -144,16 +146,19 @@ class FitResult:
     def robust_cov_noint(self):
         return self.robust_cov[1:, 1:]
 
-    def to_dict(self, spec):
+    def to_dict(self, spec, covariance=False):
+        """Coefficients with robust SEs; the full ``robust_cov`` only on request."""
         labels = ["(Intercept)"] + [spec.subset_label(t) for t in self.terms]
         se = np.sqrt(np.clip(np.diag(self.robust_cov), 0.0, None))
-        return {
+        out = {
             "coefficients": {
                 lb: {"coefficient": float(c), "robust_se": float(s)}
                 for lb, c, s in zip(labels, self.coefficients, se)
             },
-            "robust_cov": self.robust_cov.tolist(),
         }
+        if covariance:
+            out["robust_cov"] = self.robust_cov.tolist()
+        return out
 
 
 def _qr_solve(X, weights):
@@ -177,6 +182,12 @@ def _qr_solve(X, weights):
     return A
 
 
+def _sandwich(M, v):
+    """``M diag(v) M^T`` for v >= 0, as one symmetric product ``B B^T`` with B = M sqrt(v)."""
+    B = M * np.sqrt(v)
+    return B @ B.T
+
+
 def _wls(A, rows, counts, means, ss, terms=()):
     """Least squares on cell rows with HC0, the kernel of every fit.
 
@@ -189,8 +200,7 @@ def _wls(A, rows, counts, means, ss, terms=()):
     """
     beta = A @ means
     rss = ss + counts * (means - rows @ beta) ** 2
-    cov = (A * (rss / np.maximum(counts, 1) ** 2)) @ A.T
-    return FitResult(tuple(terms), beta, cov)
+    return FitResult(tuple(terms), beta, _sandwich(A, rss / np.maximum(counts, 1) ** 2))
 
 
 def ols_fit(X, y):
@@ -216,6 +226,26 @@ def treatment_based_fit(data):
     return fit.coefficients, fit.robust_cov
 
 
+def _saturated_map(delta, counts):
+    """Coefficient map of the saturated fit: the inverse of its square cell rows.
+
+    In bitmask order (factor k on bit K-1-k, as in the cell index) the
+    saturated cell rows are ``X = kron_k [[1, -delta_k], [1, 1 - delta_k]]``,
+    so ``X^{-1} = kron_k [[1 - delta_k, delta_k], [-1, 1]]``, the Yates map
+    of the product scheme; its rows are put in intercept-then-canonical
+    term order.  The count weights cancel in a square system, but an empty
+    cell leaves its row without units and the model unidentified.
+    """
+    if not (counts > 0).all():
+        raise RankDeficientError("an empty cell leaves the saturated model unidentified")
+    A = np.ones((1, 1))
+    for d in delta:
+        A = np.kron(A, [[1.0 - d, d], [-1.0, 1.0]])
+    K = len(delta)
+    masks = [sum(1 << (K - 1 - k) for k in s) for s in enumerate_subsets(K)]
+    return A[[0] + masks]
+
+
 def saturated_fit(data, delta):
     """Saturated location-shifted fit, verified against the moment route.
 
@@ -223,19 +253,22 @@ def saturated_fit(data, delta):
     errors of the two coefficient/covariance identities against the moment
     estimator under the product scheme built from delta.  The covariance
     identity needs N_z >= 2 in every cell and is skipped (recorded as None)
-    otherwise.  An empty cell makes the design rank deficient.
+    otherwise.  An empty cell raises RankDeficientError.  The fit comes from
+    the Kronecker inverse of the cell rows and the check from the sign
+    formula of G, two independent derivations.
     """
     spec = saturated_spec(delta)
     counts, means, ss = data.moments
-    rows = build_design(data, spec).rows
-    A = _qr_solve(rows, counts)
-    fit = _wls(A, rows, counts, means, ss, spec.terms)
+    A = _saturated_map(spec.delta.delta, counts)
+    # the fit interpolates every cell mean, so RSS_z = SS_z
+    fit = FitResult(spec.terms, A @ means, _sandwich(A, ss / counts ** 2))
+    del A  # Q x Q; freed before the check's Q x Q products
     G = contrast_matrix(product_scheme(spec.delta), spec.K).matrix
     verification = {"coef_rel_err": rel_err(fit.coef_noint, G @ means), "cov_rel_err": None}
     ok = verification["coef_rel_err"] <= IDENTITY_RTOL
     if (counts >= 2).all():
         # (1 - 1/N_z) Vhat_z = SS_z / N_z^2
-        psi = (G * (ss / counts ** 2)) @ G.T
+        psi = _sandwich(G, ss / counts ** 2)
         verification["cov_rel_err"] = rel_err(fit.robust_cov_noint, psi)
         ok = ok and verification["cov_rel_err"] <= IDENTITY_RTOL
     if not ok:
@@ -293,21 +326,23 @@ def omitted_algebra(design):
 def verify_omitted_relation(data, spec):
     """Check the unsaturated/saturated coefficient relation and its criteria.
 
-    Factors the cell rows twice: all of them for the saturated coefficients
-    gamma, the included ones for the unsaturated fit (under ``fit``) and Phi.
+    Takes the saturated coefficients gamma from the Kronecker inverse of the
+    cell rows and factors the included rows once, for the unsaturated fit
+    (under ``fit``) and Phi.
     Reports the max relative error of
     ``coef(unsaturated) = coef(saturated, included) + D @ coef(saturated, omitted)``,
     the two sufficient orthogonality conditions and the exact vanishing
     criterion ``F_+^T (F_- - mean F_-) gamma_-``, with
     ``F_+^T F_- = X_+^T diag(N_z) X_-``.  As rank([F_+ F_-]) = rank(F_+) +
-    rank(R) for the residual matrix R of F_- on F_+, the full-design rank
-    check also guards R.
+    rank(R) for the residual matrix R of F_- on F_+, and the full design has
+    full rank exactly when no cell is empty, the empty-cell check also
+    guards R.
     """
     design = build_design(data, spec)
     if design.omitted_pos.size == 0:
         raise ValueError("model is saturated; nothing is omitted")
     counts, means, ss = data.moments
-    gamma = (_qr_solve(design.rows, counts) @ means)[1:]
+    gamma = (_saturated_map(spec.delta.delta, counts) @ means)[1:]
     rows = design.included_rows
     A_plus = _qr_solve(rows, counts)
     uns_fit = _wls(A_plus, rows, counts, means, ss, spec.terms)

@@ -1,11 +1,14 @@
-"""The names the benchmark's traced pass and its checks rely on.
+"""The names and output fields the benchmark's traced pass and its checks rely on.
 
 ``bench/tracing.py`` rebinds package functions by (module, attribute); a
 renamed layer would otherwise drop out of ``bench/run.py --trace 1``
-silently.  The module is loaded by path and only read.
+silently.  ``bench/session.py`` checks every ``analyze`` output against the
+reference answers of ``bench/workloads.py``; a field moved out of the default
+output would fail every request.  The modules are loaded by path and only read.
 """
 
 import importlib
+import json
 import types
 from pathlib import Path
 
@@ -13,19 +16,21 @@ import numpy as np
 import pytest
 
 import factorial2k
+from factorial2k.cli import main
 from factorial2k.contrasts import contrast_matrix
 from factorial2k.core import FactorSpec, ingest_csv
-from factorial2k.regression import ols_fit
+from factorial2k.regression import IDENTITY_RTOL, ols_fit
 from factorial2k.simulate import DesignSizes, PotentialOutcomeTable, monte_carlo
 from factorial2k.weighting import equal_scheme
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracing():
+def _load(name):
     # executed from source so that no bytecode cache is written under bench/
-    module = types.ModuleType("bench_tracing")
-    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
@@ -37,7 +42,7 @@ def _resolve(module_name, attr):
 
 
 @pytest.mark.parametrize(
-    "module_name, attr", [(m, a) for m, a, _ in _load_tracing().TARGETS]
+    "module_name, attr", [(m, a) for m, a, _ in _load("tracing").TARGETS]
 )
 def test_trace_target_resolves(module_name, attr):
     assert callable(_resolve(module_name, attr))
@@ -45,7 +50,7 @@ def test_trace_target_resolves(module_name, attr):
 
 def test_generator_targets_return_iterators():
     # the traced pass calls next() on what a GENERATORS target returns
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     sample_args = {"simulate.enumerate_assignments": (DesignSizes(np.array([2, 2])),)}
     assert set(sample_args) == tracing.GENERATORS
     for module_name, attr, name in tracing.TARGETS:
@@ -62,7 +67,7 @@ def test_contrast_sweep_and_reference_names():
 
 def test_span_attributes_read_real_results(tmp_path):
     # every span that carries attributes, called as the traced pass calls it
-    attrs = _load_tracing()._attrs
+    attrs = _load("tracing")._attrs
     path = tmp_path / "data.csv"
     path.write_text("A,B,Y\n0,0,1\n0,1,2\n1,0,3\n1,1,4\n1,1,5\n")
     args = (str(path), FactorSpec(("A", "B")))
@@ -85,3 +90,33 @@ def test_span_attributes_read_real_results(tmp_path):
         "reps": 3,
         "failures": 0,
     }
+
+
+def _three_factor_forms(rng, cells):
+    joint = np.full(8, 1.0 / 8)
+    return [
+        ("equal", joint, []),
+        ("empirical", np.bincount(cells, minlength=8) / cells.size, []),
+        ("equal", joint, ["--model", "A,B,C,A:B,A:C,B:C"]),
+    ]
+
+
+def test_default_analyze_output_keeps_the_checked_fields(tmp_path):
+    # the fields bench/session.py's check reads, against the workload's own
+    # reference answers and with its relative error
+    workloads = _load("workloads")
+    units, refs = workloads._analyze_plan(
+        str(tmp_path), np.random.default_rng(4), 3, 1, (2, 5), _three_factor_forms
+    )
+    assert len(units) == 3
+    for (req,) in units:
+        assert main(req["argv"]) == 0
+        payload = json.loads(Path(req["out"]).read_text())
+        assert payload["verification"]["pass"] is True
+        ref = refs[req["check"]["ref"]]
+        effects = payload["moment"]["effects"]
+        assert set(effects) == set(ref)
+        for i, stat in enumerate(("estimate", "se")):
+            expected = np.array([ref[lb][i] for lb in ref])
+            actual = np.array([effects[lb][stat] for lb in ref])
+            assert np.abs(actual - expected).max() <= IDENTITY_RTOL * np.abs(expected).max()

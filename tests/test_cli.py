@@ -10,6 +10,7 @@ import pytest
 
 import factorial2k
 from factorial2k import (
+    cli,
     contrast_matrix,
     effect_estimates,
     equal_scheme,
@@ -19,13 +20,15 @@ from factorial2k import (
 )
 from factorial2k.cli import (
     EXIT_IDENTITY,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VALIDATION,
     main,
     resolve_scheme,
 )
-from factorial2k.core import FactorSpec
+from factorial2k.core import FactorSpec, cell_summary, parse_subset_label
 from factorial2k.errors import ParseError
+from factorial2k.regression import ModelSpec, rel_err, saturated_fit, verify_omitted_relation
 from factorial2k.simulate import DesignSizes
 
 from conftest import spy_calls
@@ -122,13 +125,13 @@ def test_analyze_model_builds_one_design_and_two_fits(csv_2x2, tmp_path, monkeyp
     )
     assert code == EXIT_OK
     assert payload["verification"]["pass"] is True
-    # the saturated fit solves coefficients only; the included-row factorisation
-    # gives the unsaturated fit and Phi; no unit-row fit
+    # the saturated coefficients come from the Kronecker inverse; one included-row
+    # factorisation gives the unsaturated fit and Phi; no unit-row fit
     assert (len(designs), len(fits), len(refits)) == (1, 0, 0)
-    assert len(factorisations) == 2
+    assert len(factorisations) == 1
 
 
-@pytest.mark.parametrize("model, factorisations", [([], 1), (["--model", "A,B"], 2)])
+@pytest.mark.parametrize("model, factorisations", [([], 0), (["--model", "A,B"], 1)])
 def test_analyze_factors_cell_rows_only(csv_2x2, tmp_path, monkeypatch, model, factorisations):
     # 8 units in 4 cells: every least-squares matrix has one row per cell
     solves = spy_calls(monkeypatch, "regression", "_qr_solve")
@@ -137,6 +140,80 @@ def test_analyze_factors_cell_rows_only(csv_2x2, tmp_path, monkeypatch, model, f
     assert code == EXIT_OK
     assert fits == []
     assert [args[0].shape[0] for args in solves] == [4] * factorisations
+
+
+def _write_experiment(path, K, rng, low=2, high=4):
+    # low..high units per cell, outcomes around a random cell surface
+    cells = np.repeat(np.arange(2 ** K), rng.integers(low, high + 1, size=2 ** K))
+    y = rng.normal(0.0, 2.0, size=2 ** K)[cells] + rng.normal(size=cells.size)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list("ABCDEFGH"[:K]) + ["Y"])
+        for c, v in zip(cells, y):
+            writer.writerow([(c >> (K - 1 - k)) & 1 for k in range(K)] + [repr(float(v))])
+    return str(path)
+
+
+@pytest.mark.parametrize("model", [[], ["--model", "A,B,C,A:B"]])
+def test_analyze_default_output_has_no_covariance_blocks(tmp_path, model):
+    path = _write_experiment(tmp_path / "data.csv", 3, np.random.default_rng(5))
+    code, payload = run_cli(["analyze", "--input", path, "--factors", "A,B,C", *model], tmp_path)
+    assert code == EXIT_OK
+    assert "covariance" not in payload["moment"]
+    assert "robust_cov" not in payload["regression"]
+    assert set(payload["moment"]["effects"]["A:B:C"]) == {"estimate", "se", "ci_low", "ci_high", "z"}
+    assert set(payload["regression"]["coefficients"]["A"]) == {"coefficient", "robust_se"}
+
+
+@pytest.mark.parametrize("scheme", ["equal", "empirical"])
+@pytest.mark.parametrize("terms", [None, "A,B,C,A:B"])
+def test_analyze_covariance_flag_writes_both_blocks(tmp_path, scheme, terms):
+    path = _write_experiment(tmp_path / "data.csv", 3, np.random.default_rng(6))
+    model = ["--model", terms] if terms else []
+    argv = ["analyze", "--input", path, "--factors", "A,B,C", "--scheme", scheme, *model]
+    code, payload = run_cli([*argv, "--covariance"], tmp_path)
+    assert code == EXIT_OK
+
+    data = ingest_csv(path, FactorSpec(("A", "B", "C")))
+    resolved = resolve_scheme(scheme, cell_summary(data), 3)
+    shifts = resolved.factor_one_probs()
+    if terms:
+        spec = ModelSpec(shifts, tuple(parse_subset_label(t, data.spec) for t in terms.split(",")))
+        fit = verify_omitted_relation(data, spec)["fit"]
+    else:
+        fit = saturated_fit(data, shifts)[0]
+    expected = effect_estimates(data, resolved).covariance
+    assert rel_err(payload["moment"]["covariance"], expected) <= 1e-12
+    assert rel_err(payload["regression"]["robust_cov"], fit.robust_cov) <= 1e-12
+    # the flag adds the two blocks and changes nothing else
+    _, default = run_cli(argv, tmp_path, name="default.json")
+    del payload["moment"]["covariance"], payload["regression"]["robust_cov"]
+    for flag, run in ((True, payload), (False, default)):
+        assert run["config"]["args"].pop("covariance") is flag
+        del run["config"]["args"]["out"]
+    assert payload == default
+
+
+def test_analyze_default_output_size_at_k8(tmp_path):
+    path = _write_experiment(tmp_path / "data.csv", 8, np.random.default_rng(7))
+    out = tmp_path / "out.json"
+    code = main(["analyze", "--input", path, "--factors", "A,B,C,D,E,F,G,H", "--out", str(out)])
+    assert code == EXIT_OK
+    # the two 255x255 and 256x256 covariances alone would take about 4 MB
+    assert out.stat().st_size < 100_000
+
+
+def test_unexpected_exception_exits_internal_in_one_line(csv_2x2, tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(cli, "effect_estimates", broken)
+    code, payload = run_cli(["analyze", "--input", csv_2x2, "--factors", "A,B"], tmp_path)
+    err = capsys.readouterr().err
+    assert (code, payload) == (EXIT_INTERNAL, None)
+    assert err.count("\n") == 1
+    assert err.startswith("internal error: KeyError:")
+    assert "Traceback" not in err
 
 
 def test_analyze_rejects_too_many_factors(csv_2x2, tmp_path, monkeypatch, capsys):

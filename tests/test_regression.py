@@ -133,6 +133,21 @@ def test_saturated_fit_empty_cell_rank_deficient():
         saturated_fit(data, [0.5, 0.5])
 
 
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6])
+def test_saturated_kronecker_map_matches_qr_oracle(K):
+    # Kronecker inverse against the pivoted QR of the count-weighted cell rows
+    rng = np.random.default_rng(80 + K)
+    data = make_dataset(K, rng.integers(1, 6, size=2 ** K), lambda c, r: c + r.normal(), rng)
+    delta = rng.uniform(0, 1, K)
+    delta[::3], delta[1::3] = 0.0, 1.0
+    rows = build_design(data, saturated_spec(delta)).rows
+    counts, means, ss = data.moments
+    oracle = _wls(_qr_solve(rows, counts), rows, counts, means, ss)
+    fit, _ = saturated_fit(data, delta)
+    assert rel_err(fit.coefficients, oracle.coefficients) <= 1e-12
+    assert rel_err(fit.robust_cov, oracle.robust_cov) <= 1e-12
+
+
 def test_unsaturated_additive_invariant_to_delta():
     rng = np.random.default_rng(45)
     data = random_dataset(2, rng)
