@@ -70,7 +70,7 @@ def resolve_scheme(name, summary, K):
 
 def _emit(payload, out):
     # strict JSON: a non-finite number raises ValueError rather than writing NaN
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(payload, sort_keys=True, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

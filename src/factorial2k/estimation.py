@@ -2,11 +2,14 @@
 
 The moment route estimates cell means Yhat and the diagonal covariance
 Vhat = diag(Shat(z,z)/N_z); effects and their covariance follow by the
-contrast matrix.  Confidence intervals use exact Normal quantiles (the
-design-based guarantees are asymptotic, so no t correction is applied).
+contrast matrix.  The SEs need only the diagonal of G Vhat G^T, so the full
+covariance is formed only when it is read.  Confidence intervals use exact
+Normal quantiles (the design-based guarantees are asymptotic, so no t
+correction is applied).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -36,16 +39,26 @@ def moment_estimates(data):
 
 @dataclass(frozen=True)
 class InferenceReport:
-    """Effect estimates with covariance, Wald intervals, and z statistics."""
+    """Effect estimates with covariance, Wald intervals, and z statistics.
+
+    Keeps the contrast matrix G and the diagonal Vhat; ``covariance`` is
+    G Vhat G^T.
+    """
 
     labels: tuple
     estimate: np.ndarray
-    covariance: np.ndarray
+    G: np.ndarray  # (Q-1, Q) contrast matrix
+    v_hat: np.ndarray  # (Q,) diagonal of Vhat
     alpha: float
 
-    @property
+    @cached_property
+    def covariance(self):
+        return (self.G * self.v_hat) @ self.G.T
+
+    @cached_property
     def se(self):
-        return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
+        # diag(G Vhat G^T) = (G o G) Vhat, one row sum, no Q x Q product
+        return np.sqrt(np.einsum("ij,j,ij->i", self.G, self.v_hat, self.G))
 
     @property
     def z_stat(self):
@@ -117,7 +130,5 @@ def effect_estimates(data, scheme, alpha=0.05):
     est = moment_estimates(data)
     cm = contrast_matrix(scheme, data.spec.K)
     G = cm.matrix
-    tau = G @ est.y_hat
-    cov = (G * est.v_hat) @ G.T
     labels = tuple(data.spec.subset_label(s) for s in cm.subsets)
-    return InferenceReport(labels, tau, cov, alpha)
+    return InferenceReport(labels, G @ est.y_hat, G, est.v_hat, alpha)

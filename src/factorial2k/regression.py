@@ -8,13 +8,13 @@ the omitted-term coefficient matrix (the column-wise regression of the
 omitted design columns on the included ones).  Every fit runs on the 2^K
 cell rows of the design, weighted by the cell counts: the saturated rows are
 square and inverted in closed form as a Kronecker product, any other model
-is solved by one pivoted QR.
+takes its coefficient map from one singular value decomposition, in numpy's
+LAPACK.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .contrasts import contrast_matrix
 from .core import enumerate_subsets, enumerate_treatments
@@ -161,25 +161,24 @@ class FitResult:
         return out
 
 
-def _qr_solve(X, weights):
+def _coef_map(X, weights):
     """Weighted least-squares coefficient map A = (X^T W X)^{-1} X^T W.
 
-    One pivoted QR of ``sqrt(weights) * X`` gives ``A[piv] = R^{-1} Q^T
-    sqrt(W)``, so the coefficients of any right-hand side y are ``A @ y``.
-    Raises RankDeficientError when the numerical rank at the relative
-    tolerance falls short of the column count.
+    One thin SVD ``sqrt(weights) * X = U diag(sigma) V^T`` gives ``A = V
+    diag(1/sigma) U^T sqrt(W)``, so the coefficients of any right-hand side
+    y are ``A @ y``.  Raises RankDeficientError when ``sigma_min <
+    RANK_RTOL * sigma_max`` (or sigma_max is 0); as sigma_min <= min|R_ii|
+    and sigma_max >= |R_11| for the R of any pivoted QR, this rejects every
+    design that the QR diagonal test ``|R_ii| / |R_11|`` would.
     """
     n, p = X.shape
     if n < p:
         raise RankDeficientError(f"{n} rows cannot identify {p} coefficients")
     sw = np.sqrt(weights)
-    Q, R, piv = linalg.qr((X.T * sw).T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag[0] == 0.0 or (diag < RANK_RTOL * diag[0]).any():
+    U, sigma, Vt = np.linalg.svd((X.T * sw).T, full_matrices=False)
+    if sigma[0] == 0.0 or sigma[-1] < RANK_RTOL * sigma[0]:
         raise RankDeficientError("design matrix is rank deficient")
-    A = np.empty((p, n))
-    A[piv] = linalg.solve_triangular(R, Q.T * sw)
-    return A
+    return (Vt.T / sigma) @ (U.T * sw)
 
 
 def _sandwich(M, v):
@@ -205,7 +204,7 @@ def _wls(A, rows, counts, means, ss, terms=()):
 
 def ols_fit(X, y):
     """Plain least squares with HC0 on an explicit design matrix, each row its own cell."""
-    return _wls(_qr_solve(X, 1.0), X, 1.0, np.asarray(y, dtype=np.float64), 0.0)
+    return _wls(_coef_map(X, 1.0), X, 1.0, np.asarray(y, dtype=np.float64), 0.0)
 
 
 def treatment_based_fit(data):
@@ -280,7 +279,7 @@ def unsaturated_fit(data, spec):
     """Least squares on the included terms only, with HC0."""
     counts, means, ss = data.moments
     rows = build_design(data, spec).included_rows
-    A = _qr_solve(rows, counts)
+    A = _coef_map(rows, counts)
     return _wls(A, rows, counts, means, ss, spec.terms)
 
 
@@ -292,7 +291,7 @@ def wls_fit(data, spec):
     counts, means, ss = data.moments
     rows = build_design(data, spec).included_rows
     # the cell weight N_z w_z is one for every nonempty cell
-    A = _qr_solve(rows, counts / np.maximum(counts, 1))
+    A = _coef_map(rows, counts / np.maximum(counts, 1))
     return _wls(A, rows, counts, means, ss, spec.terms)
 
 
@@ -319,7 +318,7 @@ def omitted_algebra(design):
     if design.omitted_pos.size == 0:
         raise ValueError("model is saturated; nothing is omitted")
     counts = np.bincount(design.cell, minlength=design.rows.shape[0])
-    phi = _qr_solve(design.included_rows, counts) @ design.omitted_rows
+    phi = _coef_map(design.included_rows, counts) @ design.omitted_rows
     return OmittedTermAlgebra(phi, phi[1:, :])
 
 
@@ -344,7 +343,7 @@ def verify_omitted_relation(data, spec):
     counts, means, ss = data.moments
     gamma = (_saturated_map(spec.delta.delta, counts) @ means)[1:]
     rows = design.included_rows
-    A_plus = _qr_solve(rows, counts)
+    A_plus = _coef_map(rows, counts)
     uns_fit = _wls(A_plus, rows, counts, means, ss, spec.terms)
     d = (A_plus @ design.omitted_rows)[1:]
     gamma_plus, gamma_minus = gamma[design.included_pos], gamma[design.omitted_pos]

@@ -21,7 +21,7 @@ from .errors import (
     Factorial2kError,
     TooManyAssignmentsError,
 )
-from .regression import _cell_rows, _qr_solve, build_design
+from .regression import _cell_rows, _coef_map, _saturated_map, build_design
 from .weighting import product_scheme
 
 ENUMERATION_GUARD = 10 ** 7
@@ -412,26 +412,27 @@ def unsaturated_moment_map(data, spec):
     """
     design = build_design(data, spec)
     counts = np.bincount(design.cell, minlength=design.rows.shape[0])
-    return (_qr_solve(design.included_rows, counts) @ design.rows)[1:, 1:]
+    return (_coef_map(design.included_rows, counts) @ design.rows)[1:, 1:]
 
 
 def compare_saturated_unsaturated(table, sizes, spec):
     """Exact covariance ordering between saturated and unsaturated fits.
 
-    Every assignment has the same cell rows and sizes, so both models are
-    factored once into their coefficient maps, which take the cell means to
-    the coefficients, and the enumeration evaluates them on blocks of
-    assignments.  Reports exact covariances of the included saturated and
-    the unsaturated coefficients, whether their difference is PSD, and the
-    closed-form unsaturated covariance J G (diag(S_zz/N_z) - S/N) G^T J^T
-    from the potential outcomes, with J = A_+ X.
+    Every assignment has the same cell rows and sizes, so each model has one
+    coefficient map taking the cell means to the coefficients: the saturated
+    one is the Kronecker inverse of its cell rows, the unsaturated one is
+    factored once.  The enumeration evaluates both on blocks of assignments.
+    Reports exact covariances of the included saturated and the unsaturated
+    coefficients, whether their difference is PSD, and the closed-form
+    unsaturated covariance J G (diag(S_zz/N_z) - S/N) G^T J^T from the
+    potential outcomes, with J = A_+ X.
     """
     if spec.K != table.K:
         raise ValueError("population and model disagree on the number of factors")
     p = len(spec.terms)
     rows, included_rows, _, included_pos, _ = _cell_rows(spec)
-    sat = _qr_solve(rows, sizes.sizes)[1:][included_pos]
-    A_plus = _qr_solve(included_rows, sizes.sizes)
+    sat = _saturated_map(spec.delta.delta, sizes.sizes)[1:][included_pos]
+    A_plus = _coef_map(included_rows, sizes.sizes)
     mean, cov = exact_expectations(table, sizes, np.vstack([sat, A_plus[1:]]))
     mean_sat, mean_uns = mean[:p], mean[p:]
     cov_sat, cov_uns = cov[:p, :p], cov[p:, p:]

@@ -119,7 +119,7 @@ def test_analyze_model_builds_one_design_and_two_fits(csv_2x2, tmp_path, monkeyp
     designs = spy_calls(monkeypatch, "regression", "build_design")
     fits = spy_calls(monkeypatch, "regression", "ols_fit")
     refits = spy_calls(monkeypatch, "regression", "unsaturated_fit")
-    factorisations = spy_calls(monkeypatch, "regression", "_qr_solve")
+    factorisations = spy_calls(monkeypatch, "regression", "_coef_map")
     code, payload = run_cli(
         ["analyze", "--input", csv_2x2, "--factors", "A,B", "--model", "A,B"], tmp_path
     )
@@ -134,7 +134,7 @@ def test_analyze_model_builds_one_design_and_two_fits(csv_2x2, tmp_path, monkeyp
 @pytest.mark.parametrize("model, factorisations", [([], 0), (["--model", "A,B"], 1)])
 def test_analyze_factors_cell_rows_only(csv_2x2, tmp_path, monkeypatch, model, factorisations):
     # 8 units in 4 cells: every least-squares matrix has one row per cell
-    solves = spy_calls(monkeypatch, "regression", "_qr_solve")
+    solves = spy_calls(monkeypatch, "regression", "_coef_map")
     fits = spy_calls(monkeypatch, "regression", "ols_fit")
     code, _ = run_cli(["analyze", "--input", csv_2x2, "--factors", "A,B", *model], tmp_path)
     assert code == EXIT_OK
@@ -316,6 +316,31 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+
+def test_cli_analyze_leaves_scipy_linalg_unloaded(csv_2x2, tmp_path):
+    # every least-squares map comes from numpy's LAPACK, so scipy's BLAS never loads
+    src = str(Path(factorial2k.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    args = ["analyze", "--input", csv_2x2, "--factors", "A,B", "--model", "A,B"]
+    code = (
+        "import sys, factorial2k.cli; "
+        f"rc = factorial2k.cli.main({args!r} + ['--out', {str(tmp_path / 'o.json')!r}]); "
+        "print(rc, 'scipy.linalg' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == f"{EXIT_OK} False"
+
+
+def test_analyze_writes_one_line_of_json(csv_2x2, tmp_path):
+    code, payload = run_cli(["analyze", "--input", csv_2x2, "--factors", "A,B"], tmp_path)
+    text = (tmp_path / "out.json").read_text()
+    assert code == EXIT_OK
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    assert json.loads(text) == payload
 
 
 def test_resolve_scheme_product():

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from scipy import stats
+
 from factorial2k import (
     AssignmentTable,
+    cell_summary,
     default_spec,
     effect_estimates,
+    empirical_scheme,
     equal_scheme,
     moment_estimates,
     product_scheme,
@@ -114,6 +118,55 @@ def test_report_serialization(balanced_2x2):
     d = effect_estimates(balanced_2x2, equal_scheme(2)).to_dict()
     assert set(d["effects"]) == {"A", "B", "A:B"}
     assert d["effects"]["A"]["estimate"] == 4.5
+
+
+
+def _scheme(name, data, rng):
+    K = data.spec.K
+    if name == "equal":
+        return equal_scheme(K)
+    if name == "empirical":
+        return empirical_scheme(cell_summary(data))
+    return product_scheme(rng.uniform(0.0, 1.0, size=K))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("scheme", ["equal", "empirical", "product"])
+def test_se_is_root_diagonal_of_covariance(K, scheme):
+    # the SEs come from (G o G) Vhat without forming G Vhat G^T
+    rng = np.random.default_rng(140 + K)
+    data = random_dataset(K, rng)
+    rep = effect_estimates(data, _scheme(scheme, data, rng))
+    se = rep.se
+    assert "covariance" not in vars(rep)
+    np.testing.assert_allclose(se, np.sqrt(np.diag(rep.covariance)), rtol=1e-13, atol=0)
+
+
+def test_default_to_dict_forms_no_covariance(balanced_2x2):
+    rep = effect_estimates(balanced_2x2, equal_scheme(2))
+    assert "covariance" not in rep.to_dict()
+    assert "covariance" not in vars(rep)
+    full = rep.to_dict(covariance=True)
+    assert "covariance" in vars(rep)
+    assert full["covariance"] == rep.covariance.tolist()
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_joint_test_matches_explicit_wald_statistic(K):
+    # oracle: est^T (G diag(Vhat) G^T)^{-1} est against chi-square(df)
+    rng = np.random.default_rng(150 + K)
+    data = random_dataset(K, rng)
+    rep = effect_estimates(data, equal_scheme(K))
+    est = moment_estimates(data)
+    cov = rep.G @ np.diag(est.v_hat) @ rep.G.T
+    for labels in (None, list(rep.labels[:K]), [rep.labels[-1]]):
+        idx = [rep.labels.index(lb) for lb in (labels or rep.labels)]
+        tau = rep.estimate[idx]
+        statistic = tau @ np.linalg.solve(cov[np.ix_(idx, idx)], tau)
+        out = rep.joint_test(labels)
+        assert out["df"] == len(idx)
+        assert out["statistic"] == pytest.approx(statistic, rel=1e-10)
+        assert out["p_value"] == pytest.approx(stats.chi2.sf(statistic, len(idx)), rel=1e-8)
 
 
 def test_treatment_based_fit_balanced(balanced_2x2):

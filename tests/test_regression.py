@@ -20,8 +20,9 @@ from factorial2k import (
     wls_fit,
 )
 from factorial2k.errors import RankDeficientError
+from factorial2k.estimation import RANK_RTOL
 from factorial2k.regression import (
-    _qr_solve,
+    _coef_map,
     _wls,
     closed_form_two_way_omitted_map,
     effective_additive_weights,
@@ -135,14 +136,14 @@ def test_saturated_fit_empty_cell_rank_deficient():
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6])
 def test_saturated_kronecker_map_matches_qr_oracle(K):
-    # Kronecker inverse against the pivoted QR of the count-weighted cell rows
+    # Kronecker inverse against the least-squares map of the count-weighted cell rows
     rng = np.random.default_rng(80 + K)
     data = make_dataset(K, rng.integers(1, 6, size=2 ** K), lambda c, r: c + r.normal(), rng)
     delta = rng.uniform(0, 1, K)
     delta[::3], delta[1::3] = 0.0, 1.0
     rows = build_design(data, saturated_spec(delta)).rows
     counts, means, ss = data.moments
-    oracle = _wls(_qr_solve(rows, counts), rows, counts, means, ss)
+    oracle = _wls(_coef_map(rows, counts), rows, counts, means, ss)
     fit, _ = saturated_fit(data, delta)
     assert rel_err(fit.coefficients, oracle.coefficients) <= 1e-12
     assert rel_err(fit.robust_cov, oracle.robust_cov) <= 1e-12
@@ -335,7 +336,7 @@ def test_coefficient_map_hc0_matches_unit_sandwich(layout, weighting):
     X = design.included_rows
     counts, means, ss = data.moments
     unit_w = np.ones(8) if weighting == "ols" else 1.0 / np.maximum(counts, 1)
-    A = _qr_solve(X, counts * unit_w)
+    A = _coef_map(X, counts * unit_w)
     fit = _wls(A, X, counts, means, ss)
     rss = ss + counts * (means - X @ (A @ means)) ** 2
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -352,6 +353,90 @@ def test_coefficient_map_hc0_matches_unit_sandwich(layout, weighting):
     assert rel_err(fit.robust_cov, sandwich) <= 1e-10
     if layout == "empty_cell":
         assert not A[:, 5].any()
+
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_coef_map_inverts_random_tall_designs(seed):
+    rng = np.random.default_rng(90 + seed)
+    p = int(rng.integers(1, 9))
+    n = p + int(rng.integers(0, 30))
+    X = rng.normal(size=(n, p))
+    w = rng.uniform(0.1, 5.0, size=n)
+    A = _coef_map(X, w)
+    np.testing.assert_allclose(A @ X, np.eye(p), rtol=0, atol=1e-12)
+    assert rel_err(A, np.linalg.solve(X.T @ (X * w[:, None]), X.T * w)) <= 1e-12
+
+
+def test_coef_map_zero_weight_rows_keep_full_rank():
+    # rows of weight zero drop out of the fit; the rest still identify it
+    rng = np.random.default_rng(96)
+    X = rng.normal(size=(12, 4))
+    w = rng.uniform(0.5, 2.0, size=12)
+    w[[2, 7, 9]] = 0.0
+    A = _coef_map(X, w)
+    assert not A[:, [2, 7, 9]].any()
+    np.testing.assert_allclose(A @ X, np.eye(4), rtol=0, atol=1e-12)
+    keep = w > 0
+    expected = np.zeros_like(A)
+    expected[:, keep] = _coef_map(X[keep], w[keep])
+    assert rel_err(A, expected) <= 1e-12
+
+
+def test_coef_map_scalar_unit_weight():
+    # ols_fit passes the scalar weight 1.0
+    rng = np.random.default_rng(97)
+    X = rng.normal(size=(15, 3))
+    y = rng.normal(size=15)
+    A = _coef_map(X, 1.0)
+    assert rel_err(A, np.linalg.pinv(X)) <= 1e-12
+    assert rel_err(ols_fit(X, y).coefficients, np.linalg.lstsq(X, y, rcond=None)[0]) <= 1e-12
+
+
+def _rank_deficient_designs():
+    rng = np.random.default_rng(98)
+    X = rng.integers(-5, 6, size=(10, 4)).astype(np.float64)
+    w = rng.uniform(0.5, 2.0, size=10)
+    duplicated = X.copy()
+    duplicated[:, 3] = duplicated[:, 1]
+    collinear = X.copy()
+    collinear[:, 2] = 2.0 * X[:, 0] - 3.0 * X[:, 1]
+    few_weighted = w.copy()
+    few_weighted[3:] = 0.0  # three weighted rows for four coefficients
+    return {
+        "duplicated_column": (duplicated, w),
+        "collinear_column": (collinear, w),
+        "zero_weights": (X, few_weighted),
+    }
+
+
+@pytest.mark.parametrize("case", ["duplicated_column", "collinear_column", "zero_weights"])
+def test_coef_map_rank_deficient(case):
+    X, w = _rank_deficient_designs()[case]
+    with pytest.raises(RankDeficientError):
+        _coef_map(X, w)
+
+
+def test_coef_map_rejects_what_pivoted_qr_rejects():
+    # sigma_min / sigma_max <= min|R_ii| / |R_11|: every design that the QR
+    # diagonal rule rejects is rejected, across the rank threshold
+    from scipy import linalg
+
+    rng = np.random.default_rng(99)
+    X = rng.normal(size=(20, 5))
+    w = rng.uniform(0.5, 2.0, size=20)
+    qr_rejects = []
+    for eps in np.logspace(-14, -4, 41):
+        Xe = X.copy()
+        Xe[:, 4] = Xe[:, 0] + eps * rng.normal(size=20)
+        R = linalg.qr(Xe * np.sqrt(w)[:, None], mode="r", pivoting=True)[0]
+        diag = np.abs(np.diag(R))
+        qr_rejects.append(bool((diag < RANK_RTOL * diag[0]).any()))
+        if qr_rejects[-1]:
+            with pytest.raises(RankDeficientError):
+                _coef_map(Xe, w)
+    # the sweep crosses the threshold
+    assert any(qr_rejects) and not all(qr_rejects)
 
 
 def _assert_matches_unit_rows(data, spec, fit, weights):

@@ -285,15 +285,16 @@ def test_compare_saturated_unsaturated_solves_coefficients_only(monkeypatch):
 
 
 def test_compare_saturated_unsaturated_factors_each_model_once(monkeypatch):
-    # one coefficient map per model, from the model's cell rows alone; J
-    # reuses the unsaturated map, and no dataset is drawn to read the rows
-    maps = spy_calls(monkeypatch, "regression", "_qr_solve")
+    # the saturated map is the Kronecker inverse and the unsaturated one is
+    # factored once, from the model's cell rows alone; J reuses the
+    # unsaturated map, and no dataset is drawn to read the rows
+    maps = spy_calls(monkeypatch, "regression", "_coef_map")
     draws = spy_calls(monkeypatch, "simulate", "draw_assignment")
     observed = spy_calls(monkeypatch, "simulate", "observe")
     rng = np.random.default_rng(65)
     table = PotentialOutcomeTable(rng.normal(0.0, 1.0, size=(8, 4)))
     report = compare_saturated_unsaturated(table, SIZES_2222, additive_spec([0.3, 0.6]))
-    assert (len(maps), len(draws), len(observed)) == (2, 0, 0)
+    assert (len(maps), len(draws), len(observed)) == (1, 0, 0)
     np.testing.assert_allclose(
         report["cov_unsaturated"], report["cov_unsaturated_formula"], atol=1e-12
     )
