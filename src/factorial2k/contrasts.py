@@ -2,19 +2,21 @@
 
 Every effect is a linear map of the cell means with the closed form
 
-    G[S, z] = (-1)^(|S| - |z_S|) * w(z_{-S}),
+    G[S, z] = (-1)^(|S| - |z_S|) * pi_{-S}(z_{-S}),
 
-where ``w`` weighs the levels of the factors outside S (Dasgupta, Pillai &
-Rubin 2015).  A general effect takes ``w`` from the scheme's marginal law of
-those factors; a conditional effect puts a point mass on their fixed levels.
-One kernel evaluates the formula for both.
+where ``pi_{-S}`` is the law of the levels of the factors outside S
+(Dasgupta, Pillai & Rubin 2015).  A general effect takes it from the
+scheme's joint law; a conditional effect from a point mass on their fixed
+levels.  One kernel builds the row of every subset at once by Yates's
+algorithm on the joint: factor by factor, each row whose subset holds the
+factor sums it out and signs the sum by its level.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_FACTORS, cell_index, enumerate_subsets
+from .core import MAX_FACTORS, canonical_masks, enumerate_subsets, subset_mask
 from .errors import DimensionMismatchError
 
 
@@ -23,29 +25,25 @@ def _check_K(K):
         raise DimensionMismatchError(f"K must be in 1..{MAX_FACTORS}, got {K}")
 
 
-def _sign_formula(subsets, weights, K):
-    """Rows (-1)^(|S| - |z_S|) * w_S(z_{-S}) over every cell z, one per subset S.
+def _yates_rows(joint, K):
+    """Rows (-1)^(|S| - |z_S|) * pi_{-S}(z_{-S}) over every cell z, one per bitmask S.
 
-    ``weights[i]`` is indexed by the levels of the factors outside
-    ``subsets[i]`` in binary-counting order.
+    Row S starts as the joint; pass k, on the rows whose mask holds factor
+    k, writes the sum over factor k's two levels back as -sum at level 0
+    and +sum at level 1, in place through reshaped views.  Row 0 is the
+    joint itself.  The full-interaction row starts as a point mass, so its
+    weight is exactly one, not a sum.
     """
-    levels = (np.arange(2 ** K)[:, None] >> np.arange(K - 1, -1, -1)) & 1
-    inside = np.zeros((len(subsets), K), dtype=np.int64)
-    for i, subset in enumerate(subsets):
-        inside[i, list(subset)] = 1
-    outside = 1 - inside
-    # place value of an outside factor among the outside factors, last fastest
-    after = np.cumsum(outside[:, ::-1], axis=1)[:, ::-1] - outside
-    rest_index = (outside << after) @ levels.T
-    offsets = np.cumsum([0] + [w.size for w in weights[:-1]])
-    odd = (inside.sum(axis=1)[:, None] - inside @ levels.T) % 2
-    return np.where(odd, -1.0, 1.0) * np.concatenate(weights)[offsets[:, None] + rest_index]
-
-
-def _complement_weights(subset, scheme):
-    complement = tuple(k for k in range(scheme.K) if k not in subset)
-    # with nothing outside the subset the weight is exactly one, not a sum
-    return scheme.marginal(complement) if complement else np.ones(1)
+    Q = 2 ** K
+    G = np.tile(joint, (Q, 1))
+    G[-1] = np.arange(Q) == 0
+    for k in range(K):
+        outer, inner = 2 ** k, 2 ** (K - 1 - k)
+        rows = G.reshape(outer, 2, inner, outer, 2, inner)[:, 1]
+        low, high = rows[..., 0, :], rows[..., 1, :]
+        high += low
+        np.negative(high, out=low)
+    return G
 
 
 def conditional_effect_row(subset, rest, K):
@@ -55,19 +53,18 @@ def conditional_effect_row(subset, rest, K):
     ascending factor order.  Returns a length-2^K vector.
     """
     _check_K(K)
-    subset = tuple(sorted(subset))
-    if not subset:
+    mask = subset_mask(subset, K)
+    if not mask:
         raise DimensionMismatchError("subset must be nonempty")
+    outside = [k for k in range(K) if not mask >> (K - 1 - k) & 1]
     rest = tuple(rest)
-    if len(rest) != K - len(subset):
-        raise DimensionMismatchError(
-            f"expected {K - len(subset)} fixed levels, got {len(rest)}"
-        )
+    if len(rest) != len(outside):
+        raise DimensionMismatchError(f"expected {len(outside)} fixed levels, got {len(rest)}")
     if not set(rest) <= {0, 1}:
         raise ValueError(f"fixed levels must be 0/1, got {rest}")
-    point_mass = np.zeros(2 ** len(rest))
-    point_mass[cell_index(rest)] = 1.0
-    return _sign_formula([subset], [point_mass], K)[0]
+    point_mass = np.zeros(2 ** K)
+    point_mass[sum(level << (K - 1 - k) for k, level in zip(outside, rest))] = 1.0
+    return _yates_rows(point_mass, K)[mask]
 
 
 @dataclass(frozen=True)
@@ -88,11 +85,9 @@ def contrast_matrix(scheme, K):
     if scheme.K != K:
         raise DimensionMismatchError("scheme and K disagree")
     if "contrast_matrix" not in scheme._cache:
-        subsets = tuple(enumerate_subsets(K))
-        weights = [_complement_weights(s, scheme) for s in subsets]
-        rows = _sign_formula(subsets, weights, K)
+        rows = _yates_rows(scheme.joint, K)[canonical_masks(K)]
         rows.setflags(write=False)
-        scheme._cache["contrast_matrix"] = ContrastMatrix(rows, subsets)
+        scheme._cache["contrast_matrix"] = ContrastMatrix(rows, tuple(enumerate_subsets(K)))
     return scheme._cache["contrast_matrix"]
 
 

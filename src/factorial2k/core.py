@@ -8,6 +8,8 @@ Conventions used throughout the package:
 * Factor subsets are tuples of sorted 0-based factor indices.  The canonical
   order over nonempty subsets is by cardinality first, lexicographic within
   cardinality: all singletons, then pairs, ..., ending with the full set.
+  The bitmask of a subset sets bit K-1-k for each factor k in it, as the
+  cell index does for each factor at level 1.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .errors import EmptyCellError, ParseError, SingletonCellError
+from .errors import DimensionMismatchError, EmptyCellError, ParseError, SingletonCellError
 
 # the dense (2^K - 1) x 2^K contrast matrix takes 128 MiB at K=12 and 32 GiB at K=16
 MAX_FACTORS = 12
@@ -84,6 +86,21 @@ def enumerate_subsets(K):
     for m in range(1, K + 1):
         out.extend(tuple(c) for c in combinations(range(K), m))
     return out
+
+
+def subset_mask(subset, K):
+    """Bitmask of a set of factor indices; each must lie in 0..K-1 and appear once."""
+    mask = 0
+    for k in subset:
+        if not 0 <= k < K or mask >> (K - 1 - k) & 1:
+            raise DimensionMismatchError(f"{tuple(subset)} is not a set of factors in 0..{K - 1}")
+        mask |= 1 << (K - 1 - k)
+    return mask
+
+
+def canonical_masks(K):
+    """Bitmasks of the nonempty subsets of [K], in canonical order."""
+    return np.array([subset_mask(s, K) for s in enumerate_subsets(K)], dtype=np.int64)
 
 
 def parse_subset_label(label, spec):

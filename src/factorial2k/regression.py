@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contrasts import contrast_matrix
-from .core import enumerate_subsets, enumerate_treatments
+from .core import canonical_masks, enumerate_subsets
 from .errors import IdentityViolationError, RankDeficientError
 from .estimation import RANK_RTOL, moment_estimates
 from .weighting import ShiftVector, product_scheme
@@ -98,16 +98,16 @@ def _cell_rows(spec):
     """Cell rows of the model: all, included and omitted columns, and their term positions.
 
     Intercept plus shifted-product columns prod_{k in S}(z_k - delta_k), one
-    row per cell; they depend on the shifts and K alone.
+    row per cell.  With columns in subset-bitmask order they are ``X =
+    kron_k [[1, -delta_k], [1, 1 - delta_k]]``, the matrix ``_saturated_map`` inverts.
     """
-    K = spec.K
-    shifted = np.array(enumerate_treatments(K), dtype=np.float64) - spec.delta.delta
-    subsets = enumerate_subsets(K)
-    rows = np.column_stack(
-        [np.ones(2 ** K)] + [np.prod(shifted[:, list(s)], axis=1) for s in subsets]
-    )
+    X = np.ones((1, 1))
+    for d in spec.delta.delta:
+        # 0.0 - d, not -d: a zero shift gives +0.0, as z_k - delta_k does
+        X = np.kron(X, [[1.0, 0.0 - d], [1.0, 1.0 - d]])
+    rows = X[:, np.concatenate([[0], canonical_masks(spec.K)])]
     included = set(spec.terms)
-    is_plus = np.array([s in included for s in subsets])
+    is_plus = np.array([s in included for s in enumerate_subsets(spec.K)])
     plus_pos, minus_pos = np.flatnonzero(is_plus), np.flatnonzero(~is_plus)
     included_rows = rows[:, np.concatenate([[0], 1 + plus_pos])]
     return rows, included_rows, rows[:, 1 + minus_pos], plus_pos, minus_pos
@@ -240,9 +240,7 @@ def _saturated_map(delta, counts):
     A = np.ones((1, 1))
     for d in delta:
         A = np.kron(A, [[1.0 - d, d], [-1.0, 1.0]])
-    K = len(delta)
-    masks = [sum(1 << (K - 1 - k) for k in s) for s in enumerate_subsets(K)]
-    return A[[0] + masks]
+    return A[np.concatenate([[0], canonical_masks(len(delta))])]
 
 
 def saturated_fit(data, delta):
@@ -253,8 +251,8 @@ def saturated_fit(data, delta):
     estimator under the product scheme built from delta.  The covariance
     identity needs N_z >= 2 in every cell and is skipped (recorded as None)
     otherwise.  An empty cell raises RankDeficientError.  The fit comes from
-    the Kronecker inverse of the cell rows and the check from the sign
-    formula of G, two independent derivations.
+    the Kronecker inverse of the cell rows and the check from G, built by
+    per-factor passes over the product joint: two independent derivations.
     """
     spec = saturated_spec(delta)
     counts, means, ss = data.moments

@@ -37,11 +37,8 @@ class PotentialOutcomeTable:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[1] < 2:
-            raise ValueError("values must be N x Q with Q >= 2")
-        K = int(round(np.log2(v.shape[1])))
-        if 2 ** K != v.shape[1]:
-            raise ValueError("column count must be a power of two")
+        if v.ndim != 2 or v.shape[1] < 2 or v.shape[1] & (v.shape[1] - 1):
+            raise ValueError("values must be N x Q with Q a power of two >= 2")
         if not np.isfinite(v).all():
             i, j = np.argwhere(~np.isfinite(v))[0]
             raise ValueError(f"potential outcomes must be finite; values[{i}, {j}] is {v[i, j]}")
@@ -57,7 +54,7 @@ class PotentialOutcomeTable:
 
     @property
     def K(self):
-        return int(round(np.log2(self.values.shape[1])))
+        return self.Q.bit_length() - 1
 
     @property
     def means(self):

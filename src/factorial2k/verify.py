@@ -80,13 +80,11 @@ def run_identity_suite(K=3, seed=0, balanced=False, delta=None):
     d22 = random_dataset(2, rng)
     base_fit, _ = saturated_fit(d22, np.zeros(2))
     e22 = moment_estimates(d22)
-    rows = np.vstack(
-        [
-            conditional_effect_row((0,), (0,), 2),  # first-factor effect at level 0
-            conditional_effect_row((1,), (0,), 2),  # second-factor effect at level 0
-            conditional_effect_row((0, 1), (), 2),
-        ]
-    )
+    rows = np.vstack([
+        conditional_effect_row((0,), (0,), 2),  # first-factor effect at level 0
+        conditional_effect_row((1,), (0,), 2),  # second-factor effect at level 0
+        conditional_effect_row((0, 1), (), 2),
+    ])
     records["baseline_shift_conditional"] = _record(
         rel_err(base_fit.coef_noint, rows @ e22.y_hat)
     )
@@ -99,9 +97,7 @@ def run_identity_suite(K=3, seed=0, balanced=False, delta=None):
 
     half_fit, _ = saturated_fit(d22, np.full(2, 0.5))
     signs = 2.0 * d22.assignment - 1.0
-    Xs = np.column_stack(
-        [np.ones(d22.N), signs[:, 0], signs[:, 1], signs[:, 0] * signs[:, 1]]
-    )
+    Xs = np.column_stack([np.ones(d22.N), signs[:, 0], signs[:, 1], signs[:, 0] * signs[:, 1]])
     sign_fit = ols_fit(Xs, d22.outcome)
     scaled = sign_fit.coefficients[1:] * np.array([2.0, 2.0, 4.0])
     records["half_shift_sign_coding"] = _record(rel_err(half_fit.coef_noint, scaled))
@@ -110,18 +106,8 @@ def run_identity_suite(K=3, seed=0, balanced=False, delta=None):
     add_fit = unsaturated_fit(d22, additive_spec(rng.uniform(0.0, 1.0, 2)))
     e_z = np.bincount(d22.cell, minlength=4) / d22.N
     pi_first, pi_second = effective_additive_weights(e_z)
-    tau_a = np.array(
-        [
-            conditional_effect_row((0,), (b,), 2) @ e22.y_hat
-            for b in (0, 1)
-        ]
-    )
-    tau_b = np.array(
-        [
-            conditional_effect_row((1,), (a,), 2) @ e22.y_hat
-            for a in (0, 1)
-        ]
-    )
+    tau_a = np.array([conditional_effect_row((0,), (b,), 2) @ e22.y_hat for b in (0, 1)])
+    tau_b = np.array([conditional_effect_row((1,), (a,), 2) @ e22.y_hat for a in (0, 1)])
     expected = np.array([pi_second @ tau_a, pi_first @ tau_b])
     records["additive_effective_weights"] = _record(
         rel_err(add_fit.coef_noint, expected), EXACT_RTOL
@@ -141,9 +127,7 @@ def run_identity_suite(K=3, seed=0, balanced=False, delta=None):
     # unsaturated/saturated relation with a random included set
     all_terms = enumerate_subsets(K)
     n_terms = int(rng.integers(1, len(all_terms)))
-    chosen = sorted(
-        rng.choice(len(all_terms), size=n_terms, replace=False).tolist()
-    )
+    chosen = sorted(rng.choice(len(all_terms), size=n_terms, replace=False).tolist())
     spec_rand = ModelSpec(delta_k, tuple(all_terms[i] for i in chosen))
     report = verify_omitted_relation(data, spec_rand)
     records["omitted_term_relation"] = _record(report["relation_rel_err"])

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import subset_mask
 from .errors import InvalidMassError
 
 NORMALIZATION_TOL = 1e-12
@@ -50,9 +51,11 @@ class WeightingScheme:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.K < 1:
+            raise InvalidMassError(f"a scheme needs at least one factor, got K={self.K}")
         mass = np.asarray(self.joint, dtype=np.float64)
         if mass.shape != (2 ** self.K,):
-            raise InvalidMassError(f"joint must have length {2 ** self.K}")
+            raise InvalidMassError(f"joint must have length 2^K = {2 ** self.K}, got {mass.shape}")
         if not np.isfinite(mass).all():
             raise InvalidMassError("joint weights must be finite")
         if (mass < 0).any():
@@ -65,9 +68,13 @@ class WeightingScheme:
         """Marginal weights of the factors in ``subset`` (sorted indices)."""
         subset = tuple(subset)
         if subset not in self._cache:
+            subset_mask(subset, self.K)
             tensor = self.joint.reshape((2,) * self.K)
-            drop = tuple(k for k in range(self.K) if k not in subset)
-            self._cache[subset] = tensor.sum(axis=drop).reshape(-1)
+            # one factor at a time in factor order, as the contrast kernel sums,
+            # so G's weights are bit-identical to these marginals
+            for k in sorted(set(range(self.K)) - set(subset)):
+                tensor = tensor.sum(axis=k, keepdims=True)
+            self._cache[subset] = tensor.reshape(-1)
         return self._cache[subset]
 
     def factor_one_probs(self):
@@ -78,7 +85,8 @@ class WeightingScheme:
 def from_joint(mass):
     """Build a coherent scheme from a joint probability vector over cells."""
     mass = np.asarray(mass, dtype=np.float64)
-    return WeightingScheme(int(round(np.log2(mass.size))), mass)
+    # floor(log2(size)); a size that is not a power of two >= 2 fails the checks
+    return WeightingScheme(max(mass.size.bit_length() - 1, 0), mass)
 
 
 def equal_scheme(K):

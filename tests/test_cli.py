@@ -670,7 +670,7 @@ def test_analyze_saturated_builds_g_once_per_scheme(plain_csv_2x2, tmp_path, mon
     # identity check shares its G; unbalanced empirical weights need a second one
     with open(plain_csv_2x2, "a") as fh:
         fh.write("1,1,8\n")
-    kernels = spy_calls(monkeypatch, "contrasts", "_sign_formula")
+    kernels = spy_calls(monkeypatch, "contrasts", "_yates_rows")
     code, payload = run_cli(
         ["analyze", "--input", plain_csv_2x2, "--factors", "A,B", "--scheme", scheme], tmp_path
     )

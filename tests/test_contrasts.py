@@ -14,7 +14,7 @@ from factorial2k import (
 from factorial2k.core import cell_index
 from factorial2k.errors import DimensionMismatchError
 from factorial2k.simulate import make_no_three_way_population, add_three_way_term
-from factorial2k.weighting import product_scheme
+from factorial2k.weighting import WeightingScheme, product_scheme
 
 
 def _row_recursive(subset, rest_levels, K):
@@ -128,10 +128,26 @@ def test_conditional_row_validation():
     with pytest.raises(ValueError):
         conditional_effect_row((0,), (0, 2), 3)
 
+    # a factor index outside 0..K-1, or a repeated one
+    for subset, rest, K in [((-1,), (0,), 2), ((5,), (0,), 2), ((2,), (0,), 2), ((0, 0), (0,), 3)]:
+        with pytest.raises(DimensionMismatchError, match="not a set of factors"):
+            conditional_effect_row(subset, rest, K)
+
 
 def test_contrast_matrix_rejects_more_than_max_factors():
     with pytest.raises(DimensionMismatchError, match="1..12"):
         contrast_matrix(equal_scheme(13), 13)
+
+
+def test_contrast_matrix_takes_no_marginals(monkeypatch):
+    calls = []
+    original = WeightingScheme.marginal
+    monkeypatch.setattr(
+        WeightingScheme, "marginal", lambda self, subset: calls.append(subset) or original(self, subset)
+    )
+    scheme = from_joint(np.random.default_rng(4).dirichlet(np.ones(2 ** 5)))
+    assert contrast_matrix(scheme, 5).matrix.shape == (31, 32)
+    assert calls == []
 
 
 def test_general_effect_row_2x2_weights():

@@ -9,6 +9,7 @@ from factorial2k import (
     contrast_matrix,
     default_spec,
     enumerate_subsets,
+    enumerate_treatments,
     moment_estimates,
     ols_fit,
     omitted_algebra,
@@ -23,6 +24,7 @@ from factorial2k.errors import RankDeficientError
 from factorial2k.estimation import RANK_RTOL
 from factorial2k.regression import (
     _coef_map,
+    _saturated_map,
     _wls,
     closed_form_two_way_omitted_map,
     effective_additive_weights,
@@ -147,6 +149,32 @@ def test_saturated_kronecker_map_matches_qr_oracle(K):
     fit, _ = saturated_fit(data, delta)
     assert rel_err(fit.coefficients, oracle.coefficients) <= 1e-12
     assert rel_err(fit.robust_cov, oracle.robust_cov) <= 1e-12
+
+
+def _shifts_with_bounds(K, seed):
+    delta = np.random.default_rng(seed).uniform(0, 1, K)
+    delta[::3], delta[1::3] = 0.0, 1.0
+    return delta
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6])
+def test_design_rows_match_explicit_shifted_products(K):
+    delta = _shifts_with_bounds(K, 90 + K)
+    data = make_dataset(K, np.ones(2 ** K, dtype=int), lambda c, r: float(c))
+    rows = build_design(data, saturated_spec(delta)).rows
+    cells = enumerate_treatments(K)
+    np.testing.assert_array_equal(rows[:, 0], np.ones(2 ** K))
+    for j, subset in enumerate(enumerate_subsets(K), start=1):
+        expected = [np.prod([z[k] - delta[k] for k in subset]) for z in cells]
+        np.testing.assert_array_equal(rows[:, j], expected)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_saturated_map_equals_product_scheme_contrasts(K):
+    # the Kronecker inverse of the cell rows against G from per-factor passes
+    delta = _shifts_with_bounds(K, 110 + K)
+    A = _saturated_map(delta, np.ones(2 ** K))
+    assert rel_err(A[1:], contrast_matrix(product_scheme(delta), K).matrix) <= 1e-15
 
 
 def test_unsaturated_additive_invariant_to_delta():

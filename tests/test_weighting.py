@@ -12,8 +12,8 @@ from factorial2k import (
     product_scheme,
 )
 from factorial2k.core import AssignmentTable
-from factorial2k.errors import InvalidMassError
-from factorial2k.weighting import ShiftVector
+from factorial2k.errors import DimensionMismatchError, InvalidMassError
+from factorial2k.weighting import ShiftVector, WeightingScheme
 
 
 def test_from_joint_uniform_marginals():
@@ -40,6 +40,36 @@ def test_from_joint_invalid():
         from_joint([0.5, 0.5, 0.5, -0.5])
     with pytest.raises(InvalidMassError):
         from_joint([0.3, 0.3, 0.3, 0.3])
+
+
+@pytest.mark.parametrize("size", [0, 1, 3, 6])
+def test_from_joint_rejects_length_not_a_power_of_two_at_least_two(size):
+    with pytest.raises(InvalidMassError, match=r"at least one factor|length 2\^K"):
+        from_joint(np.full(size, 1.0 / max(size, 1)))
+
+
+@pytest.mark.parametrize("K", [0, -1])
+def test_scheme_needs_a_factor(K):
+    with pytest.raises(InvalidMassError, match="at least one factor"):
+        WeightingScheme(K, np.ones(1))
+
+
+@pytest.mark.parametrize("subset", [(5,), (-1,), (2,), (0, 0)])
+def test_marginal_rejects_factor_out_of_range_or_repeated(subset):
+    with pytest.raises(DimensionMismatchError, match="not a set of factors"):
+        equal_scheme(2).marginal(subset)
+
+
+@pytest.mark.parametrize("K", [2, 3, 5])
+def test_marginal_matches_multi_axis_sum(K):
+    mass = np.random.default_rng(6 + K).dirichlet(np.ones(2 ** K))
+    s = from_joint(mass)
+    tensor = mass.reshape((2,) * K)
+    for keep in [(), (0,), (K - 1,), (0, K - 1), tuple(range(K))]:
+        drop = tuple(k for k in range(K) if k not in keep)
+        np.testing.assert_allclose(
+            s.marginal(keep), tensor.sum(axis=drop).reshape(-1), rtol=1e-14, atol=0
+        )
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
