@@ -7,7 +7,7 @@ numeric identities between the two routes by enumeration and Monte Carlo
 over complete randomizations.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .core import (
     AssignmentTable,

@@ -99,8 +99,14 @@ def subset_mask(subset, K):
 
 
 def canonical_masks(K):
-    """Bitmasks of the nonempty subsets of [K], in canonical order."""
-    return np.array([subset_mask(s, K) for s in enumerate_subsets(K)], dtype=np.int64)
+    """Bitmasks of the nonempty subsets of [K], in canonical order.
+
+    Factor 0 is the top bit, so within one cardinality lexicographic subset
+    order is descending mask order.
+    """
+    masks = np.arange(1, 2 ** K, dtype=np.int64)
+    size = ((masks[:, None] >> np.arange(K)) & 1).sum(axis=1)
+    return masks[np.lexsort((-masks, size))]
 
 
 def parse_subset_label(label, spec):

@@ -27,6 +27,10 @@ from .weighting import product_scheme
 ENUMERATION_GUARD = 10 ** 7
 # bound on B * N, the cells of one block of B assignments of N units
 BLOCK_ELEMENTS = 2 ** 20
+# bound on the entries of one chunk of rows of per-assignment statistics that
+# is estimated and reduced at once; a chunk's row count depends on the row
+# width alone, so the arithmetic is the same for any BLOCK_ELEMENTS
+REDUCE_ELEMENTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -175,12 +179,21 @@ def enumerate_assignments(sizes):
 
 
 def _block_evaluator(table, sizes, estimator):
-    """Map a (B, N) block of cell assignments to its estimates.
+    """Map blocks of cell assignments to estimates, in two stages.
 
-    Returns ``(estimates, failures, variances, cov_sum)``: the estimates of
-    the assignments on which the estimator succeeded, in block order, the
-    number on which it raised a package error, and, when the estimator
-    gives covariances, their diagonals and their sum (else None).
+    Returns ``(evaluate, estimate, sandwich)``.  ``evaluate(cells)`` maps a
+    (B, N) block to ``(rows, failures, cov_total)``: one row of statistics
+    per assignment on which the estimator succeeded, in block order, the
+    number on which it raised a package error, and, when the estimator gives
+    covariances, the running total of a covariance part over every
+    assignment evaluated so far (else None).  ``estimate(rows)`` maps rows
+    to the estimates and their variances (NaN without covariances).  Each
+    row is computed from its assignment alone, the total is added one
+    assignment at a time, and ``_drive`` applies ``estimate`` to chunks of
+    a fixed number of rows, so no result depends on how the assignments
+    were cut into blocks.  ``sandwich`` maps the mean part to the mean
+    estimated covariance: for a matrix M the part is the Q-vector Vhat, so
+    M diag(.) M^T is formed once per run, not once per block.
     """
     if table.values.shape != (sizes.N, sizes.Q):
         raise ValueError(
@@ -190,16 +203,26 @@ def _block_evaluator(table, sizes, estimator):
     if not callable(estimator):
         M = np.asarray(estimator, dtype=np.float64)
         units = np.arange(table.N)
+        total = np.zeros(table.Q)
 
         def moments(cells):
+            nonlocal total
             counts, means, ss = _cell_moments(cells, table.values[units, cells], table.Q)
             v = ss / (counts - 1) / counts
-            return means @ M.T, 0, v @ (M * M).T, (M * v.sum(axis=0)) @ M.T
+            total = np.vstack((total, v)).cumsum(axis=0)[-1]
+            return np.hstack((means, v)), 0, total
 
-        return moments
+        def estimate(rows):
+            means, v = np.hsplit(rows, 2)
+            return means @ M.T, v @ (M * M).T
+
+        return moments, estimate, lambda v: (M * v) @ M.T
+
+    total = 0.0
 
     def per_table(cells):
-        estimates, variances, failures, cov_sum = [], [], 0, 0.0
+        nonlocal total
+        estimates, variances, failures = [], [], 0
         for row in cells:
             try:
                 out = estimator(observe(table, row))
@@ -210,30 +233,55 @@ def _block_evaluator(table, sizes, estimator):
                 out, cov = out
                 cov = np.asarray(cov, dtype=np.float64)
                 variances.append(np.diag(cov))
-                cov_sum = cov_sum + cov
+                total = total + cov
             estimates.append(np.asarray(out, dtype=np.float64).ravel())
-        if estimates and len(variances) == len(estimates):
-            return np.array(estimates), failures, np.array(variances), cov_sum
-        return np.array(estimates), failures, None, None
+        if not estimates:
+            return np.empty((0, 0)), failures, None
+        est = np.array(estimates)
+        if len(variances) == len(estimates):
+            return np.hstack((est, variances)), failures, total
+        return np.hstack((est, np.full_like(est, np.nan))), failures, None
 
-    return per_table
+    return per_table, lambda rows: np.hsplit(rows, 2), lambda cov: cov
 
 
-def _drive(blocks, evaluate, truth=None, alpha=0.05):
+def _drive(blocks, evaluate, estimate, truth=None, alpha=0.05):
     """Evaluate blocks of assignments in order and reduce them in replicate order.
 
-    Means and covariances accumulate deviations from the first estimate,
-    which keeps them exact under a large common offset.
-    Returns ``(n, failures, mean, cov, mean_cov, coverage)``; the last two
-    are None without covariances, and coverage also without ``truth``.
+    The rows of the blocks are regrouped into chunks of
+    REDUCE_ELEMENTS // width rows, counted from the first row whatever the
+    blocks, and each chunk is estimated and reduced in turn.  Means and
+    covariances accumulate deviations from the first estimate, which keeps
+    them exact under a large common offset.  Returns ``(n, failures, mean,
+    cov, mean_part, coverage)``, with ``mean_part`` the evaluator's
+    covariance total over n; the last two are None unless every block gave
+    covariances, and coverage also without ``truth``.
     """
     zq = special.ndtri(1.0 - alpha / 2.0)
     n = failures = 0
-    origin, cov_sum, have_cov = None, 0.0, True
-    for est, failed, var, cov_part in map(evaluate, blocks):
-        failures += failed
-        if not est.size:
-            continue
+    cov_total, have_cov = None, True
+
+    def chunks():
+        nonlocal n, failures, cov_total, have_cov
+        held = None
+        for rows, failed, total in map(evaluate, blocks):
+            failures += failed
+            if not len(rows):
+                continue
+            n += len(rows)
+            have_cov, cov_total = have_cov and total is not None, total
+            held = rows if held is None else np.concatenate((held, rows))
+            step = max(1, REDUCE_ELEMENTS // rows.shape[1])
+            cut = len(held) - len(held) % step
+            for lo in range(0, cut, step):
+                yield held[lo:lo + step]
+            held = held[cut:] if cut < len(held) else None
+        if held is not None:
+            yield held
+
+    origin = None
+    for rows in chunks():
+        est, var = estimate(rows)
         if origin is None:
             origin = est[0]
             acc = np.zeros_like(origin)
@@ -242,19 +290,15 @@ def _drive(blocks, evaluate, truth=None, alpha=0.05):
         dev = est - origin
         acc += dev.sum(axis=0)
         acc_sq += dev.T @ dev
-        n += est.shape[0]
-        have_cov = have_cov and cov_part is not None
-        if have_cov:
-            cov_sum = cov_sum + cov_part
-            if truth is not None:
-                hits += (np.abs(est - truth) <= zq * np.sqrt(np.clip(var, 0.0, None))).sum(axis=0)
+        if truth is not None:
+            hits += (np.abs(est - truth) <= zq * np.sqrt(np.clip(var, 0.0, None))).sum(axis=0)
     if not n:
         return 0, failures, None, None, None, None
     shift = acc / n
     mean, cov = origin + shift, acc_sq / n - np.outer(shift, shift)
-    mean_cov = cov_sum / n if have_cov else None
+    mean_part = cov_total / n if have_cov else None
     coverage = hits / n if have_cov and truth is not None else None
-    return n, failures, mean, cov, mean_cov, coverage
+    return n, failures, mean, cov, mean_part, coverage
 
 
 def exact_expectations(table, sizes, estimator):
@@ -270,8 +314,8 @@ def exact_expectations(table, sizes, estimator):
     reported via EstimatorFailureError: exact moments conditioned on success
     would not be exact.  (M Yhat cannot fail: each cell holds >= 2 units.)
     """
-    evaluate = _block_evaluator(table, sizes, estimator)
-    n, failures, mean, cov, _, _ = _drive(_enumeration(sizes), evaluate)
+    evaluate, estimate, _ = _block_evaluator(table, sizes, estimator)
+    n, failures, mean, cov, _, _ = _drive(_enumeration(sizes), evaluate, estimate)
     if failures:
         raise EstimatorFailureError(
             f"estimator failed on {failures} of {n + failures} assignments", failures
@@ -312,8 +356,22 @@ class SimReport:
 
 
 def replicate_rng(seed, r):
-    """Independent generator for replicate ``r``; order-independent."""
+    """Independent generator keyed by ``(seed, r)``; order-independent.
+
+    ``SeedSequence(seed)`` and ``SeedSequence((seed, 0))`` give the same
+    state, so key 0 is the generator of a plain ``seed``.
+    """
     return np.random.default_rng(np.random.SeedSequence((seed, r)))
+
+
+def _run_rng(seed):
+    """The one generator of a Monte Carlo run.
+
+    Keyed as the second child of ``SeedSequence(seed)``, a state no
+    ``replicate_rng(seed, r)`` and no plain ``seed`` gives, so the draws are
+    independent of a population made from ``replicate_rng(seed, 0)``.
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
 
 
 def monte_carlo(table, sizes, estimator, reps, seed, truth=None, alpha=0.05, workers=1):
@@ -325,32 +383,39 @@ def monte_carlo(table, sizes, estimator, reps, seed, truth=None, alpha=0.05, wor
       the conservative covariance M diag(Vhat) M^T, Vhat_z = SS_z / (N_z - 1)
       / N_z.  It is evaluated on a whole block of assignments from one
       cell-moment pass and cannot fail (every cell holds at least two
-      units); ``mean_estimated_cov`` is M diag(mean Vhat) M^T.
+      units); ``mean_estimated_cov`` is M diag(mean Vhat) M^T, formed once.
     * a callable mapping an AssignmentTable to a flat vector or a pair
       ``(estimate, covariance)``, applied to ``observe`` of each assignment.
       A replicate on which it raises a package error is counted in
       ``failures`` and dropped from every moment.
 
     With covariances and ``truth``, per-component Wald CI coverage at level
-    ``alpha`` is recorded.  Replicate r draws from ``replicate_rng(seed, r)``.
-    Replicate numbers are cut into the blocks exact enumeration cuts its
-    ranks into, evaluated in order and reduced in replicate order.
-    ``workers`` (>= 1) is accepted for compatibility and does not change the
-    computation: the report is bit-identical for a fixed (seed, reps).
+    ``alpha`` is recorded.  A run draws from one stream, ``_run_rng(seed)``:
+    replicate r is the (r+1)-th ``draw_assignment(sizes, rng)`` on it, and a
+    block of B replicates is drawn by one ``rng.permuted`` call, which gives
+    the same rows.  (Version 0.1.0 seeded each replicate on its own, so its
+    reports for a fixed seed differ.)  Replicate numbers are cut into the
+    blocks exact enumeration cuts its ranks into, evaluated in order and
+    reduced in replicate order.  ``workers`` (>= 1) is accepted for
+    compatibility and does not change the computation: the report is
+    bit-identical for a fixed (seed, reps), whatever BLOCK_ELEMENTS.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    evaluate = _block_evaluator(table, sizes, estimator)
-    blocks = _blocks(reps, sizes.N, lambda replicates: np.array(
-        [draw_assignment(sizes, replicate_rng(seed, r)) for r in replicates]
+    evaluate, estimate, sandwich = _block_evaluator(table, sizes, estimator)
+    rng = _run_rng(seed)
+    base = np.repeat(np.arange(sizes.Q), sizes.sizes)
+    blocks = _blocks(reps, sizes.N, lambda replicates: rng.permuted(
+        np.tile(base, (len(replicates), 1)), axis=1
     ))
     if truth is not None:
         truth = np.asarray(truth, dtype=np.float64).ravel()
-    n, failures, mean, cov, mean_cov, coverage = _drive(blocks, evaluate, truth, alpha)
+    n, failures, mean, cov, mean_part, coverage = _drive(blocks, evaluate, estimate, truth, alpha)
     if not n:
         raise EstimatorFailureError("estimator failed on every replicate", reps)
+    mean_cov = None if mean_part is None else sandwich(mean_part)
     return SimReport("mc", reps, seed, mean, cov, mean_cov, coverage, alpha, failures)
 
 

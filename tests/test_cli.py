@@ -630,10 +630,11 @@ def test_simulate_non_finite_population(tmp_path, capsys, mode):
 
 
 @pytest.mark.parametrize(
-    "mode, draws",
-    [(["--reps", "37", "--workers", "2"], 37), (["--exact"], 0)],
+    "mode, name",
+    [(["--reps", "37", "--workers", "2"], "mc"), (["--exact"], "exact")],
 )
-def test_simulate_makes_no_per_assignment_calls(tmp_path, monkeypatch, mode, draws):
+def test_simulate_makes_no_per_assignment_calls(tmp_path, monkeypatch, mode, name):
+    # Monte Carlo draws each block of replicates in one call
     observed = spy_calls(monkeypatch, "simulate", "observe")
     moments = spy_calls(monkeypatch, "estimation", "moment_estimates")
     drawn = spy_calls(monkeypatch, "simulate", "draw_assignment")
@@ -641,8 +642,8 @@ def test_simulate_makes_no_per_assignment_calls(tmp_path, monkeypatch, mode, dra
         ["simulate", "--population", "heterogeneous", "--sizes", "2,2,2,2", *mode], tmp_path
     )
     assert code == EXIT_OK
-    assert payload["report"]["mode"] == ("exact" if draws == 0 else "mc")
-    assert (len(observed), len(moments), len(drawn)) == (0, 0, draws)
+    assert payload["report"]["mode"] == name
+    assert (len(observed), len(moments), len(drawn)) == (0, 0, 0)
 
 
 

@@ -1,4 +1,6 @@
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from factorial2k import (
     enumerate_treatments,
     ingest_csv,
 )
+import factorial2k
 from factorial2k import core
 from factorial2k.core import MAX_FACTORS, _cell_moments
 from factorial2k.errors import EmptyCellError, ParseError, SingletonCellError
@@ -48,6 +51,21 @@ def test_subset_order_singletons_first():
     subsets = enumerate_subsets(3)
     assert subsets == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
     assert subsets[-1] == (0, 1, 2)
+
+
+@pytest.mark.parametrize("K", range(1, 13))
+def test_canonical_masks_match_subset_masks(K):
+    expected = [core.subset_mask(s, K) for s in enumerate_subsets(K)]
+    masks = core.canonical_masks(K)
+    assert masks.dtype == np.int64
+    np.testing.assert_array_equal(masks, expected)
+
+
+def test_package_and_project_versions_agree():
+    # every run's config embeds the version; tomllib is not in Python 3.10
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = re.search(r'^\[project\]$.*?^version = "([^"]+)"$', text, re.M | re.S)
+    assert project.group(1) == factorial2k.__version__
 
 
 def test_factor_spec_validation():

@@ -228,7 +228,7 @@ def test_monte_carlo_single_rep(small_population):
         return cell_summary(data, variances=False).means
 
     report = monte_carlo(small_population, SIZES_2222, est, reps=1, seed=5)
-    cells = draw_assignment(SIZES_2222, replicate_rng(5, 0))
+    cells = draw_assignment(SIZES_2222, simulate._run_rng(5))
     expected = cell_summary(observe(small_population, cells), variances=False).means
     np.testing.assert_array_equal(report.est_mean, expected)
 
@@ -455,10 +455,96 @@ def test_monte_carlo_counts_and_drops_failed_replicates(small_population, monkey
             raise Factorial2kError("unit 0 in cell 0")
         return cell_summary(data, variances=False).means
 
-    draws = [draw_assignment(SIZES_2222, replicate_rng(4, r)) for r in range(40)]
+    rng = simulate._run_rng(4)
+    draws = [draw_assignment(SIZES_2222, rng) for _ in range(40)]
     kept = [est(observe(small_population, cells)) for cells in draws if cells[0] != 0]
     for workers in (1, 2):
         report = monte_carlo(small_population, SIZES_2222, est, reps=40, seed=4, workers=workers)
         assert report.failures == 40 - len(kept) > 0
         assert _rel(report.est_mean, np.mean(kept, axis=0)) <= 1e-12
 
+
+
+@pytest.mark.parametrize("seed", [0, 5, 41, 2 ** 40])
+def test_run_stream_is_keyed_apart_from_the_population_stream(seed):
+    # a built-in population is made from replicate_rng(seed, 0), the
+    # generator of a plain seed too; the draws must not reuse its state
+    state = simulate._run_rng(seed).bit_generator.state
+    assert state != replicate_rng(seed, 0).bit_generator.state
+    assert state != np.random.default_rng(seed).bit_generator.state
+    sizes = DesignSizes(np.full(8, 16))
+    table = PotentialOutcomeTable(np.zeros((sizes.N, 8)))
+    seen = []
+
+    def est(data):
+        seen.append(data.cell)
+        return np.zeros(1)
+
+    monte_carlo(table, sizes, est, reps=1, seed=seed)
+    assert not np.array_equal(seen[0], draw_assignment(sizes, replicate_rng(seed, 0)))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64])
+def test_monte_carlo_draws_successive_assignments_of_one_stream(small_population, monkeypatch, rows):
+    # blocks of `rows` replicates, each drawn by one call, give the rows of
+    # successive single draws on the run's generator
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", rows * small_population.N)
+    rng = simulate._run_rng(7)
+    expected = np.array([draw_assignment(SIZES_2222, rng) for _ in range(10)])
+    seen = []
+
+    def est(data):
+        seen.append(data.cell)
+        return cell_summary(data, variances=False).means
+
+    monte_carlo(small_population, SIZES_2222, est, reps=10, seed=7)
+    np.testing.assert_array_equal(seen, expected)
+    blocks = spy_calls(monkeypatch, "core", "_cell_moments")
+    monte_carlo(small_population, SIZES_2222, np.eye(4), reps=10, seed=7)
+    assert len(blocks) == -(-10 // rows)
+    np.testing.assert_array_equal(np.vstack([args[0] for args in blocks]), expected)
+
+
+@pytest.mark.parametrize("K, reps", [(2, 23), (5, 300)])
+@pytest.mark.parametrize("chunk_rows", [None, 7])
+def test_reports_identical_for_any_block_size(K, reps, chunk_rows, monkeypatch):
+    # blocks of 1, 5 and 2^20 / N replicates; chunks of the default size or
+    # of about 7 rows, which straddle the blocks.  At K=5 numpy's BLAS gives
+    # a row of means @ G^T different last bits for different row counts, so
+    # only a fixed chunk keeps the report bit-identical
+    sizes = DesignSizes(np.full(2 ** K, 2))
+    rng = np.random.default_rng(90 + K)
+    table = PotentialOutcomeTable(rng.normal(3.0, 1.0, size=(sizes.N, 2 ** K)))
+    G = contrast_matrix(equal_scheme(K), K).matrix
+    truth = G @ table.means
+    if chunk_rows:
+        monkeypatch.setattr(simulate, "REDUCE_ELEMENTS", chunk_rows * 2 * 2 ** K)
+    for estimator in (G, _moment_callable(G)):
+        reports = []
+        for elements in (sizes.N, 5 * sizes.N, 2 ** 20):
+            monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", elements)
+            reports.append(
+                monte_carlo(table, sizes, estimator, reps=reps, seed=K, truth=truth).to_dict()
+            )
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0]["coverage"] is not None
+
+
+def test_mean_estimated_cov_formed_once_matches_one_block(monkeypatch):
+    # M diag(mean Vhat) M^T from the run's total, against the one-block run
+    # and against Vhat averaged over the same draws one at a time
+    sizes = DesignSizes(np.array(SIZES_BY_K[3]))
+    table = PotentialOutcomeTable(np.random.default_rng(91).normal(3.0, 1.0, size=(sizes.N, 8)))
+    G = contrast_matrix(equal_scheme(3), 3).matrix
+    one = monte_carlo(table, sizes, G, reps=50, seed=6)
+    blocks = spy_calls(monkeypatch, "core", "_cell_moments")
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 10 * sizes.N)
+    blocked = monte_carlo(table, sizes, G, reps=50, seed=6)
+    assert len(blocks) >= 5
+    assert _rel(blocked.mean_estimated_cov, one.mean_estimated_cov) <= 1e-12
+    rng = simulate._run_rng(6)
+    v_bar = np.mean(
+        [moment_estimates(observe(table, draw_assignment(sizes, rng))).v_hat for _ in range(50)],
+        axis=0,
+    )
+    assert _rel(blocked.mean_estimated_cov, (G * v_bar) @ G.T) <= 1e-12
