@@ -46,6 +46,28 @@ def _yates_rows(joint, K):
     return G
 
 
+def _permute_rows(G, order):
+    """Move row ``order[i]`` of G to row i, in place, for a permutation ``order``.
+
+    Follows the permutation's cycles with one spare row, so the reordering
+    never copies the whole array.
+    """
+    order = order.tolist()
+    done = [False] * len(order)
+    for start in range(len(order)):
+        if done[start]:
+            continue
+        spare = G[start].copy()
+        i = start
+        while order[i] != start:
+            G[i] = G[order[i]]
+            done[i] = True
+            i = order[i]
+        G[i] = spare
+        done[i] = True
+    return G
+
+
 def conditional_effect_row(subset, rest, K):
     """Coefficients on the cell means for the conditional effect of ``subset``.
 
@@ -85,7 +107,9 @@ def contrast_matrix(scheme, K):
     if scheme.K != K:
         raise DimensionMismatchError("scheme and K disagree")
     if "contrast_matrix" not in scheme._cache:
-        rows = _yates_rows(scheme.joint, K)[canonical_masks(K)]
+        # the empty subset's row 0 goes last and is cut off
+        order = np.append(canonical_masks(K), 0)
+        rows = _permute_rows(_yates_rows(scheme.joint, K), order)[:-1]
         rows.setflags(write=False)
         scheme._cache["contrast_matrix"] = ContrastMatrix(rows, tuple(enumerate_subsets(K)))
     return scheme._cache["contrast_matrix"]

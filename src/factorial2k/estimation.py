@@ -5,19 +5,48 @@ Vhat = diag(Shat(z,z)/N_z); effects and their covariance follow by the
 contrast matrix.  The SEs need only the diagonal of G Vhat G^T, so the full
 covariance is formed only when it is read.  Confidence intervals use exact
 Normal quantiles (the design-based guarantees are asymptotic, so no t
-correction is applied).
+correction is applied).  Both distribution functions come from the standard
+library: the Normal quantile from ``statistics.NormalDist`` and the
+chi-square tail from its closed form for integer degrees of freedom.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+import math
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 from .contrasts import contrast_matrix
 from .core import cell_summary
 
 RANK_RTOL = 1e-10
+
+
+def normal_quantile(p):
+    """The standard Normal quantile at p in (0, 1) (Wichura's AS 241)."""
+    return NormalDist().inv_cdf(p)
+
+
+def chi2_sf(df, x):
+    """P(chi-square with integer df > x), summed in closed form.
+
+    With h = x/2 the tail is a Poisson sum, sum_{j < df/2} e^-h h^j / j!,
+    for even df, and erfc(sqrt h) + sum_{j < (df-1)/2} e^-h h^(j+1/2) /
+    Gamma(j + 3/2) for odd df.  Each term is formed in log space so that
+    nothing overflows.
+    """
+    if x <= 0:
+        return 1.0
+    h = x / 2.0
+    if h == math.inf:
+        return 0.0
+    log_h = math.log(h)
+    if df % 2:
+        head, powers = math.erfc(math.sqrt(h)), (j + 0.5 for j in range((df - 1) // 2))
+    else:
+        head, powers = 0.0, range(df // 2)
+    return head + math.fsum(math.exp(a * log_h - h - math.lgamma(a + 1)) for a in powers)
 
 
 @dataclass(frozen=True)
@@ -67,7 +96,7 @@ class InferenceReport:
 
     @property
     def ci_half_width(self):
-        return special.ndtri(1.0 - self.alpha / 2.0) * self.se
+        return normal_quantile(1.0 - self.alpha / 2.0) * self.se
 
     @property
     def ci_low(self):
@@ -101,7 +130,7 @@ class InferenceReport:
         return {
             "statistic": statistic,
             "df": rank,
-            "p_value": float(special.chdtrc(rank, statistic)),
+            "p_value": chi2_sf(rank, statistic),
         }
 
     def to_dict(self, covariance=False):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy import special
 
 from .contrasts import contrast_matrix
 from .core import AssignmentTable, _cell_moments, default_spec, enumerate_treatments
@@ -21,6 +20,7 @@ from .errors import (
     Factorial2kError,
     TooManyAssignmentsError,
 )
+from .estimation import normal_quantile
 from .regression import _cell_rows, _coef_map, _saturated_map, build_design
 from .weighting import product_scheme
 
@@ -257,7 +257,7 @@ def _drive(blocks, evaluate, estimate, truth=None, alpha=0.05):
     covariance total over n; the last two are None unless every block gave
     covariances, and coverage also without ``truth``.
     """
-    zq = special.ndtri(1.0 - alpha / 2.0)
+    zq = normal_quantile(1.0 - alpha / 2.0)
     n = failures = 0
     cov_total, have_cov = None, True
 

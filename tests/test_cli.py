@@ -335,6 +335,30 @@ def test_cli_analyze_leaves_scipy_linalg_unloaded(csv_2x2, tmp_path):
     assert out.stdout.strip() == f"{EXIT_OK} False"
 
 
+def test_cli_commands_run_without_scipy(csv_2x2, tmp_path):
+    # the Normal quantile and chi-square tail come from the standard library
+    src = str(Path(factorial2k.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    pop = ["--population", "heterogeneous", "--sizes", "2,2,2,2"]
+    runs = [
+        ["analyze", "--input", csv_2x2, "--factors", "A,B"],
+        ["analyze", "--input", csv_2x2, "--factors", "A,B", "--model", "A,B"],
+        ["simulate", *pop, "--reps", "20"],
+        ["simulate", *pop, "--exact"],
+        ["verify", "--K", "2"],
+    ]
+    code = (
+        "import sys, factorial2k.cli\n"
+        f"for args in {runs!r}:\n"
+        f"    rc = factorial2k.cli.main(args + ['--out', {str(tmp_path / 'o.json')!r}])\n"
+        "    print(rc, any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines() == [f"{EXIT_OK} False"] * len(runs)
+
+
 def test_analyze_writes_one_line_of_json(csv_2x2, tmp_path):
     code, payload = run_cli(["analyze", "--input", csv_2x2, "--factors", "A,B"], tmp_path)
     text = (tmp_path / "out.json").read_text()

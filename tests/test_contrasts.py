@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -296,3 +298,17 @@ def test_contrast_matrix_cached_per_scheme_and_read_only():
     assert other is not first
     np.testing.assert_array_equal(other, first)
 
+
+
+def test_contrast_matrix_peak_memory_is_about_one_matrix():
+    # the rows are put in canonical order in place, not by a fancy-index copy
+    K = 10
+    scheme = from_joint(np.random.default_rng(10).dirichlet(np.ones(2 ** K)))
+    tracemalloc.start()
+    try:
+        G = contrast_matrix(scheme, K).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.shape == (2 ** K - 1, 2 ** K)
+    assert peak < 1.25 * G.nbytes

@@ -15,6 +15,7 @@ from factorial2k import (
     treatment_based_fit,
 )
 from factorial2k.errors import EmptyCellError, SingletonCellError
+from factorial2k.estimation import chi2_sf, normal_quantile
 from factorial2k.verify import random_dataset
 
 from conftest import make_dataset
@@ -167,6 +168,26 @@ def test_joint_test_matches_explicit_wald_statistic(K):
         assert out["df"] == len(idx)
         assert out["statistic"] == pytest.approx(statistic, rel=1e-10)
         assert out["p_value"] == pytest.approx(stats.chi2.sf(statistic, len(idx)), rel=1e-8)
+
+
+def test_normal_quantile_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    p = 1.0 - np.linspace(1e-6, 1.0 - 1e-6, 2001) / 2.0
+    ours = np.array([normal_quantile(q) for q in p])
+    np.testing.assert_allclose(ours, special.ndtri(p), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("df", [*range(1, 80), 127, 255, 511, 1023, 2047, 4095])
+def test_chi2_sf_matches_scipy(df):
+    special = pytest.importorskip("scipy.special")
+    x = np.geomspace(1e-6, 10 * df + 2000, 200)
+    ref = special.chdtrc(df, x)
+    ours = np.array([chi2_sf(df, float(v)) for v in x])
+    keep = ref > 1e-290
+    assert keep.sum() > 50
+    np.testing.assert_allclose(ours[keep], ref[keep], rtol=1e-11, atol=0)
+    assert chi2_sf(df, 0.0) == chi2_sf(df, -3.0) == 1.0
+    assert chi2_sf(df, float("inf")) == 0.0
 
 
 def test_treatment_based_fit_balanced(balanced_2x2):
