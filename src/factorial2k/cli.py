@@ -100,10 +100,6 @@ def cmd_analyze(args):
         # default: pair the shifts with the scheme's marginal one-probabilities
         delta = scheme.factor_one_probs()
     shifts = ShiftVector(delta)
-    # the saturated fit checks itself with the product scheme of the shifts, built
-    # once per ShiftVector; a scheme with the same joint has the same G, so use it
-    if np.array_equal(product_scheme(shifts).joint, scheme.joint):
-        scheme = product_scheme(shifts)
 
     report = effect_estimates(data, scheme, alpha=args.alpha)
     payload = {
@@ -117,7 +113,7 @@ def cmd_analyze(args):
         terms = tuple(parse_subset_label(t, spec) for t in args.model.split(","))
         model = ModelSpec(shifts, terms)
     if model is None or model.saturated:
-        fit, verification = saturated_fit(data, shifts)
+        fit, verification = saturated_fit(data, shifts, covariance=args.covariance)
         max_rel_err = max(verification["coef_rel_err"], verification["cov_rel_err"] or 0.0)
         payload["regression"] = fit.to_dict(spec, covariance=args.covariance)
         payload["verification"] = {

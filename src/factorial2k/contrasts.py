@@ -7,7 +7,14 @@ Every effect is a linear map of the cell means with the closed form
 where ``pi_{-S}`` is the law of the levels of the factors outside S
 (Dasgupta, Pillai & Rubin 2015).  A general effect takes it from the
 scheme's joint law; a conditional effect from a point mass on their fixed
-levels.  One kernel builds the row of every subset at once by Yates's
+levels.
+
+The estimates never need G itself.  Per factor, lift the cell means to
+``(y0, y1, y1 - y0)`` and the joint to ``(p0, p1, p0 + p1)``: on the 3^K
+lifted cells the joint holds every marginal ``pi_{-S}(z_{-S})`` at once and
+the means every signed difference over S.  Their product, reduced per factor
+by ``(a0, a1, a2) -> (a0 + a1, a2)``, is ``G y`` over every subset bitmask S,
+in O(K 3^K).  The dense G is built only when it is read, by Yates's
 algorithm on the joint: factor by factor, each row whose subset holds the
 factor sums it out and signs the sum by its level.
 """
@@ -23,6 +30,65 @@ from .errors import DimensionMismatchError
 def _check_K(K):
     if not 1 <= K <= MAX_FACTORS:
         raise DimensionMismatchError(f"K must be in 1..{MAX_FACTORS}, got {K}")
+
+
+def kron_apply(factors, x):
+    """``(factors[0] kron factors[1] kron ...) @ x`` without forming the product.
+
+    ``x`` has shape (n_0 n_1 ...,) or (n_0 n_1 ..., B), factor 0 on the
+    slowest axis.  Each pass multiplies one factor into the leading axis and
+    moves the result last, so after K passes the factor axes are back in
+    order behind the batch axis: K small matrix products and K copies.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    batch = x.shape[1:]
+    for M in factors:
+        x = (M @ x.reshape(M.shape[1], -1)).T
+    return x.reshape(*batch, -1).T
+
+
+# Per factor: W lifts (y0, y1) to (y0, y1, y1 - y0), S to (a0, a1, a0 + a1), and R
+# reduces (a0, a1, a2) to (a0 + a1, a2).  Lifted index 2 means "summed out".
+_W = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 1.0]])
+_S = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+_R = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _lifted_joint(scheme):
+    """The joint lifted by S: at each lifted cell, the marginal of the factors not summed out.
+
+    Cached on the scheme.  The law of no factors is exactly one, as in the
+    closed form, not the rounded sum of the joint.
+    """
+    if "lifted_joint" not in scheme._cache:
+        P = kron_apply([_S] * scheme.K, scheme.joint)
+        P[-1] = 1.0
+        P.setflags(write=False)
+        scheme._cache["lifted_joint"] = P
+    return scheme._cache["lifted_joint"]
+
+
+def general_effects(scheme, y):
+    """``G y`` in canonical subset order, with no dense G: ``R (P o W y)``."""
+    K = scheme.K
+    lifted = _lifted_joint(scheme) * kron_apply([_W] * K, y)
+    return kron_apply([_R] * K, lifted)[canonical_masks(K)]
+
+
+def general_effect_variances(scheme, v):
+    """``(G o G) v``, the diagonal of ``G diag(v) G^T``: ``R (P^2 o S v)``."""
+    K = scheme.K
+    P = _lifted_joint(scheme)
+    return kron_apply([_R] * K, P * P * kron_apply([_S] * K, v))[canonical_masks(K)]
+
+
+def general_effects_transposed(scheme, u):
+    """``G^T u`` for u in canonical subset order: ``W^T (P o R^T u)``."""
+    K = scheme.K
+    padded = np.zeros(2 ** K)
+    padded[canonical_masks(K)] = u
+    lifted = _lifted_joint(scheme) * kron_apply([_R.T] * K, padded)
+    return kron_apply([_W.T] * K, lifted)
 
 
 def _yates_rows(joint, K):
@@ -68,6 +134,10 @@ def _permute_rows(G, order):
     return G
 
 
+_DIFFERENCE = np.array([-1.0, 1.0])
+_UNIT = np.eye(2)
+
+
 def conditional_effect_row(subset, rest, K):
     """Coefficients on the cell means for the conditional effect of ``subset``.
 
@@ -84,9 +154,13 @@ def conditional_effect_row(subset, rest, K):
         raise DimensionMismatchError(f"expected {len(outside)} fixed levels, got {len(rest)}")
     if not set(rest) <= {0, 1}:
         raise ValueError(f"fixed levels must be 0/1, got {rest}")
-    point_mass = np.zeros(2 ** K)
-    point_mass[sum(level << (K - 1 - k) for k, level in zip(outside, rest))] = 1.0
-    return _yates_rows(point_mass, K)[mask]
+    # the row is kron_k v_k: the signed difference (-1, 1) for a factor in the
+    # subset, the unit vector of its fixed level for any other
+    levels = dict(zip(outside, rest))
+    row = np.ones(1)
+    for k in range(K):
+        row = np.kron(row, _UNIT[levels[k]] if k in levels else _DIFFERENCE)
+    return row
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from dataclasses import dataclass, field
 from itertools import combinations, product
 import csv
+import functools
 import math
 import warnings
 
@@ -22,7 +23,9 @@ import numpy as np
 
 from .errors import DimensionMismatchError, EmptyCellError, ParseError, SingletonCellError
 
-# the dense (2^K - 1) x 2^K contrast matrix takes 128 MiB at K=12 and 32 GiB at K=16
+# analyze runs on per-factor transforms of 3^K entries (4 MiB at K=12); the dense
+# (2^K - 1) x 2^K contrast matrix of --covariance, simulate and verify takes 128 MiB
+# at K=12 and 32 GiB at K=16
 MAX_FACTORS = 12
 # bytes per read when checking that a CSV file is plain
 READ_CHUNK = 1 << 20
@@ -55,6 +58,11 @@ class FactorSpec:
     def subset_label(self, subset):
         """Label like ``A:B`` for a subset of factor indices."""
         return ":".join(self.labels[k] for k in subset)
+
+    @functools.cached_property
+    def effect_labels(self):
+        """Labels of every nonempty subset in canonical order, built once."""
+        return tuple(self.subset_label(s) for s in enumerate_subsets(self.K))
 
 
 def default_spec(K):
@@ -98,15 +106,18 @@ def subset_mask(subset, K):
     return mask
 
 
+@functools.cache
 def canonical_masks(K):
-    """Bitmasks of the nonempty subsets of [K], in canonical order.
+    """Bitmasks of the nonempty subsets of [K], in canonical order; read-only, built once per K.
 
     Factor 0 is the top bit, so within one cardinality lexicographic subset
     order is descending mask order.
     """
     masks = np.arange(1, 2 ** K, dtype=np.int64)
     size = ((masks[:, None] >> np.arange(K)) & 1).sum(axis=1)
-    return masks[np.lexsort((-masks, size))]
+    masks = masks[np.lexsort((-masks, size))]
+    masks.setflags(write=False)
+    return masks
 
 
 def parse_subset_label(label, spec):

@@ -1,9 +1,10 @@
 """Moment estimators, conservative covariance, and Wald-type inference.
 
 The moment route estimates cell means Yhat and the diagonal covariance
-Vhat = diag(Shat(z,z)/N_z); effects and their covariance follow by the
-contrast matrix.  The SEs need only the diagonal of G Vhat G^T, so the full
-covariance is formed only when it is read.  Confidence intervals use exact
+Vhat = diag(Shat(z,z)/N_z); the effects G Yhat and their variances
+(G o G) Vhat, the diagonal of G Vhat G^T, come from per-factor transforms of
+the scheme's joint, with no dense G.  The contrast matrix and the full
+covariance are formed only when they are read.  Confidence intervals use exact
 Normal quantiles (the design-based guarantees are asymptotic, so no t
 correction is applied).  Both distribution functions come from the standard
 library: the Normal quantile from ``statistics.NormalDist`` and the
@@ -17,8 +18,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .contrasts import contrast_matrix
+from .contrasts import contrast_matrix, general_effect_variances, general_effects
 from .core import cell_summary
+from .errors import DimensionMismatchError
+from .weighting import WeightingScheme
 
 RANK_RTOL = 1e-10
 
@@ -70,15 +73,21 @@ def moment_estimates(data):
 class InferenceReport:
     """Effect estimates with covariance, Wald intervals, and z statistics.
 
-    Keeps the contrast matrix G and the diagonal Vhat; ``covariance`` is
-    G Vhat G^T.
+    Keeps the scheme, the diagonal Vhat and the effect variances (G o G)
+    Vhat; the contrast matrix G and ``covariance`` = G Vhat G^T are formed
+    only when read.
     """
 
     labels: tuple
-    estimate: np.ndarray
-    G: np.ndarray  # (Q-1, Q) contrast matrix
+    estimate: np.ndarray  # (Q-1,) G Yhat
+    variance: np.ndarray  # (Q-1,) (G o G) Vhat
+    scheme: WeightingScheme
     v_hat: np.ndarray  # (Q,) diagonal of Vhat
     alpha: float
+
+    @cached_property
+    def G(self):
+        return contrast_matrix(self.scheme, self.scheme.K).matrix
 
     @cached_property
     def covariance(self):
@@ -86,8 +95,7 @@ class InferenceReport:
 
     @cached_property
     def se(self):
-        # diag(G Vhat G^T) = (G o G) Vhat, one row sum, no Q x Q product
-        return np.sqrt(np.einsum("ij,j,ij->i", self.G, self.v_hat, self.G))
+        return np.sqrt(self.variance)
 
     @property
     def z_stat(self):
@@ -157,7 +165,13 @@ class InferenceReport:
 def effect_estimates(data, scheme, alpha=0.05):
     """Moment estimator of the general effects with Wald-type inference."""
     est = moment_estimates(data)
-    cm = contrast_matrix(scheme, data.spec.K)
-    G = cm.matrix
-    labels = tuple(data.spec.subset_label(s) for s in cm.subsets)
-    return InferenceReport(labels, G @ est.y_hat, G, est.v_hat, alpha)
+    if scheme.K != data.spec.K:
+        raise DimensionMismatchError("scheme and data disagree on the number of factors")
+    return InferenceReport(
+        data.spec.effect_labels,
+        general_effects(scheme, est.y_hat),
+        general_effect_variances(scheme, est.v_hat),
+        scheme,
+        est.v_hat,
+        alpha,
+    )

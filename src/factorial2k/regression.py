@@ -7,16 +7,26 @@ from delta; unsaturated fits relate to the saturated coefficients through
 the omitted-term coefficient matrix (the column-wise regression of the
 omitted design columns on the included ones).  Every fit runs on the 2^K
 cell rows of the design, weighted by the cell counts: the saturated rows are
-square and inverted in closed form as a Kronecker product, any other model
-takes its coefficient map from one singular value decomposition, in numpy's
-LAPACK.
+square and inverted in closed form as a Kronecker product, which is applied
+factor by factor and never formed; any other model takes its coefficient map
+from one singular value decomposition of its included rows, in numpy's
+LAPACK.  The dense saturated rows, map and HC0 covariance are formed only
+when they are read.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+import random
 
 import numpy as np
 
-from .contrasts import contrast_matrix
+from .contrasts import (
+    contrast_matrix,
+    general_effect_variances,
+    general_effects,
+    general_effects_transposed,
+    kron_apply,
+)
 from .core import canonical_masks, enumerate_subsets
 from .errors import IdentityViolationError, RankDeficientError
 from .estimation import RANK_RTOL, moment_estimates
@@ -24,6 +34,8 @@ from .weighting import ShiftVector, product_scheme
 
 IDENTITY_RTOL = 1e-8
 IDENTITY_ATOL = 1e-12
+# seeds the probe vector of the matrix-free saturated covariance check
+PROBE_SEED = 0
 
 
 def rel_err(actual, expected):
@@ -77,14 +89,68 @@ def additive_spec(delta):
     return ModelSpec(delta, tuple((k,) for k in range(delta.K)))
 
 
+def _term_order(K):
+    """Subset bitmasks in coefficient order: the intercept (mask 0), then every term canonically."""
+    return np.concatenate([[0], canonical_masks(K)])
+
+
+def _row_factors(delta):
+    """Per-factor cell rows ``[[1, -delta_k], [1, 1 - delta_k]]``; their Kronecker product is X.
+
+    ``0.0 - d``, not ``-d``: a zero shift gives +0.0, as z_k - delta_k does.
+    """
+    return [np.array([[1.0, 0.0 - d], [1.0, 1.0 - d]]) for d in delta]
+
+
+def _inverse_factors(delta):
+    """Per-factor inverses ``[[1 - delta_k, delta_k], [-1, 1]]`` of the cell rows."""
+    return [np.array([[1.0 - d, d], [-1.0, 1.0]]) for d in delta]
+
+
+def _full_rows(delta):
+    """All 2^K saturated cell rows, intercept first, then every term canonically.
+
+    The ``kron_k`` of the row factors, a dense 2^K x 2^K array.
+    """
+    X = np.ones((1, 1))
+    for F in _row_factors(delta):
+        X = np.kron(X, F)
+    return X[:, _term_order(len(delta))]
+
+
+def _cell_rows(spec):
+    """Included cell rows of the model, and the included and omitted term positions.
+
+    Intercept plus the included columns prod_{k in S}(z_k - delta_k), one
+    row per cell, built factor by factor on those columns only: each column
+    is multiplied by z_k - delta_k for each factor k of its term in
+    ascending order, the products ``kron_k`` forms, so the entries equal the
+    full rows' bit for bit.
+    """
+    K = spec.K
+    included = set(spec.terms)
+    is_plus = np.array([s in included for s in enumerate_subsets(K)])
+    plus_pos, minus_pos = np.flatnonzero(is_plus), np.flatnonzero(~is_plus)
+    cells = (np.arange(2 ** K)[:, None] >> np.arange(K - 1, -1, -1)) & 1
+    shifted = cells - spec.delta.delta
+    masks = _term_order(K)[np.concatenate([[0], 1 + plus_pos])]
+    rows = np.ones((2 ** K, masks.size))
+    for k in range(K):
+        holds = (masks >> (K - 1 - k)) & 1 == 1
+        rows[:, holds] *= shifted[:, k : k + 1]
+    return rows, plus_pos, minus_pos
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Design rows x_z, one per cell; the unit-level matrices index them by cell."""
+    """Design rows x_z, one per cell; the unit-level matrices index them by cell.
+
+    Only the included columns are built; ``rows`` (all 2^K columns) and
+    ``omitted_rows`` are formed when read.
+    """
 
     spec: ModelSpec
-    rows: np.ndarray  # 2^K x 2^K, intercept first, then all terms canonically
     included_rows: np.ndarray  # 2^K x (1 + #terms), intercept first
-    omitted_rows: np.ndarray  # 2^K x (2^K - 1 - #terms)
     included_pos: np.ndarray  # positions in the canonical term order
     omitted_pos: np.ndarray  # positions in the canonical term order
     cell: np.ndarray  # (N,) cell index per unit
@@ -93,28 +159,19 @@ class DesignMatrix:
     def included(self):
         return self.included_rows[self.cell]
 
+    @cached_property
+    def rows(self):
+        """2^K x 2^K, intercept first, then all terms canonically."""
+        return _full_rows(self.spec.delta.delta)
 
-def _cell_rows(spec):
-    """Cell rows of the model: all, included and omitted columns, and their term positions.
-
-    Intercept plus shifted-product columns prod_{k in S}(z_k - delta_k), one
-    row per cell.  With columns in subset-bitmask order they are ``X =
-    kron_k [[1, -delta_k], [1, 1 - delta_k]]``, the matrix ``_saturated_map`` inverts.
-    """
-    X = np.ones((1, 1))
-    for d in spec.delta.delta:
-        # 0.0 - d, not -d: a zero shift gives +0.0, as z_k - delta_k does
-        X = np.kron(X, [[1.0, 0.0 - d], [1.0, 1.0 - d]])
-    rows = X[:, np.concatenate([[0], canonical_masks(spec.K)])]
-    included = set(spec.terms)
-    is_plus = np.array([s in included for s in enumerate_subsets(spec.K)])
-    plus_pos, minus_pos = np.flatnonzero(is_plus), np.flatnonzero(~is_plus)
-    included_rows = rows[:, np.concatenate([[0], 1 + plus_pos])]
-    return rows, included_rows, rows[:, 1 + minus_pos], plus_pos, minus_pos
+    @cached_property
+    def omitted_rows(self):
+        """2^K x (2^K - 1 - #terms)."""
+        return self.rows[:, 1 + self.omitted_pos]
 
 
 def build_design(data, spec):
-    """The model's cell rows with each unit's cell."""
+    """The model's included cell rows with each unit's cell."""
     if data.spec.K != spec.K:
         raise ValueError("data and model disagree on the number of factors")
     return DesignMatrix(spec, *_cell_rows(spec), data.cell)
@@ -125,14 +182,20 @@ class FitResult:
     """Least-squares output with HC0 sandwich covariance.
 
     ``coefficients[0]`` is the intercept; the remaining entries follow the
-    model terms in canonical order.  ``robust_cov`` covers the full
-    coefficient vector; ``robust_cov_noint`` drops the intercept row and
-    column.
+    model terms in canonical order.  ``robust_var`` is the diagonal of the
+    HC0 covariance; ``robust_cov``, formed by ``hc0`` when first read,
+    covers the full coefficient vector, and ``robust_cov_noint`` drops the
+    intercept row and column.
     """
 
     terms: tuple
     coefficients: np.ndarray
-    robust_cov: np.ndarray
+    robust_var: np.ndarray
+    hc0: object = field(repr=False, compare=False)  # () -> the full HC0 covariance
+
+    @cached_property
+    def robust_cov(self):
+        return self.hc0()
 
     @property
     def intercept(self):
@@ -148,8 +211,12 @@ class FitResult:
 
     def to_dict(self, spec, covariance=False):
         """Coefficients with robust SEs; the full ``robust_cov`` only on request."""
-        labels = ["(Intercept)"] + [spec.subset_label(t) for t in self.terms]
-        se = np.sqrt(np.clip(np.diag(self.robust_cov), 0.0, None))
+        if len(self.terms) == spec.Q - 1:  # saturated: every subset, canonically
+            names = spec.effect_labels
+        else:
+            names = [spec.subset_label(t) for t in self.terms]
+        labels = ["(Intercept)", *names]
+        se = np.sqrt(np.clip(self.robust_var, 0.0, None))
         out = {
             "coefficients": {
                 lb: {"coefficient": float(c), "robust_se": float(s)}
@@ -199,7 +266,8 @@ def _wls(A, rows, counts, means, ss, terms=()):
     """
     beta = A @ means
     rss = ss + counts * (means - rows @ beta) ** 2
-    return FitResult(tuple(terms), beta, _sandwich(A, rss / np.maximum(counts, 1) ** 2))
+    cov = _sandwich(A, rss / np.maximum(counts, 1) ** 2)
+    return FitResult(tuple(terms), beta, np.diag(cov).copy(), lambda: cov)
 
 
 def ols_fit(X, y):
@@ -235,40 +303,88 @@ def _saturated_map(delta, counts):
     term order.  The count weights cancel in a square system, but an empty
     cell leaves its row without units and the model unidentified.
     """
+    _check_saturated(counts)
+    A = np.ones((1, 1))
+    for F in _inverse_factors(delta):
+        A = np.kron(A, F)
+    return A[_term_order(len(delta))]
+
+
+def _check_saturated(counts):
     if not (counts > 0).all():
         raise RankDeficientError("an empty cell leaves the saturated model unidentified")
-    A = np.ones((1, 1))
-    for d in delta:
-        A = np.kron(A, [[1.0 - d, d], [-1.0, 1.0]])
-    return A[np.concatenate([[0], canonical_masks(len(delta))])]
 
 
-def saturated_fit(data, delta):
+def _probe(n):
+    """A fixed vector of n values uniform in [-1/2, 1/2), seeded.
+
+    Drawn by the standard library's generator: analyze would otherwise
+    never load numpy.random.
+    """
+    draws = np.frombuffer(random.Random(PROBE_SEED).randbytes(8 * n), dtype=np.uint64)
+    return draws / 2.0 ** 64 - 0.5
+
+
+def _transposed(factors):
+    return [F.T for F in factors]
+
+
+def saturated_fit(data, delta, covariance=False):
     """Saturated location-shifted fit, verified against the moment route.
 
     Returns (fit, verification) where verification records the max relative
-    errors of the two coefficient/covariance identities against the moment
-    estimator under the product scheme built from delta.  The covariance
-    identity needs N_z >= 2 in every cell and is skipped (recorded as None)
-    otherwise.  An empty cell raises RankDeficientError.  The fit comes from
-    the Kronecker inverse of the cell rows and the check from G, built by
-    per-factor passes over the product joint: two independent derivations.
+    errors of the coefficient and covariance identities against the moment
+    estimator under the product scheme built from delta.  The fit applies
+    the Kronecker inverse ``A`` of the cell rows factor by factor; the check
+    takes G from the 3^K transform of the product joint: two independent
+    derivations, neither a dense Q x Q array.  The coefficients must equal
+    ``G ybar``.  The HC0 covariance ``A_1 diag(w) A_1^T`` (A_1 drops the
+    intercept row, w_z = SS_z / N_z^2) must equal ``G diag(w) G^T``: its
+    diagonal against ``(G o G) w``, and its product with one fixed seeded
+    probe u, ``A_1 diag(w) A_1^T u`` against ``G diag(w) G^T u``, so an
+    error off the diagonal shows as well.  The covariance identity needs
+    N_z >= 2 in every cell and is skipped (recorded as None) otherwise.
+    With ``covariance`` the dense HC0 is also formed and compared with the
+    dense ``G diag(w) G^T`` (``dense_cov_rel_err``).  An empty cell raises
+    RankDeficientError.
     """
     spec = saturated_spec(delta)
+    K, shifts = spec.K, spec.delta.delta
     counts, means, ss = data.moments
-    A = _saturated_map(spec.delta.delta, counts)
+    _check_saturated(counts)
+    order = _term_order(K)
     # the fit interpolates every cell mean, so RSS_z = SS_z
-    fit = FitResult(spec.terms, A @ means, _sandwich(A, ss / counts ** 2))
-    del A  # Q x Q; freed before the check's Q x Q products
-    G = contrast_matrix(product_scheme(spec.delta), spec.K).matrix
-    verification = {"coef_rel_err": rel_err(fit.coef_noint, G @ means), "cov_rel_err": None}
-    ok = verification["coef_rel_err"] <= IDENTITY_RTOL
+    w = ss / counts ** 2
+    factors = _inverse_factors(shifts)
+    fit = FitResult(
+        spec.terms,
+        kron_apply(factors, means)[order],
+        kron_apply([F * F for F in factors], w)[order],
+        lambda: _sandwich(_saturated_map(shifts, counts), w),
+    )
+    scheme = product_scheme(spec.delta)
+    verification = {
+        "coef_rel_err": rel_err(fit.coef_noint, general_effects(scheme, means)),
+        "cov_rel_err": None,
+        "dense_cov_rel_err": None,
+    }
+    errors = [verification["coef_rel_err"]]
     if (counts >= 2).all():
-        # (1 - 1/N_z) Vhat_z = SS_z / N_z^2
-        psi = _sandwich(G, ss / counts ** 2)
-        verification["cov_rel_err"] = rel_err(fit.robust_cov_noint, psi)
-        ok = ok and verification["cov_rel_err"] <= IDENTITY_RTOL
-    if not ok:
+        u = _probe(2 ** K - 1)
+        padded = np.zeros(2 ** K)
+        padded[order[1:]] = u
+        fit_probe = kron_apply(factors, w * kron_apply(_transposed(factors), padded))[order[1:]]
+        g_probe = general_effects(scheme, w * general_effects_transposed(scheme, u))
+        verification["cov_rel_err"] = max(
+            rel_err(fit.robust_var[1:], general_effect_variances(scheme, w)),
+            rel_err(fit_probe, g_probe),
+        )
+        errors.append(verification["cov_rel_err"])
+        if covariance:
+            G = contrast_matrix(scheme, K).matrix
+            verification["dense_cov_rel_err"] = rel_err(fit.robust_cov_noint, _sandwich(G, w))
+            errors.append(verification["dense_cov_rel_err"])
+    if not max(errors) <= IDENTITY_RTOL:
         raise IdentityViolationError(f"saturated-fit identities violated: {verification}")
     return fit, verification
 
@@ -323,40 +439,51 @@ def omitted_algebra(design):
 def verify_omitted_relation(data, spec):
     """Check the unsaturated/saturated coefficient relation and its criteria.
 
-    Takes the saturated coefficients gamma from the Kronecker inverse of the
-    cell rows and factors the included rows once, for the unsaturated fit
-    (under ``fit``) and Phi.
+    Takes the saturated coefficients gamma from a Kronecker apply of the
+    inverse of the cell rows and factors the included rows once, for the
+    unsaturated fit (under ``fit``) and the correction.
     Reports the max relative error of
     ``coef(unsaturated) = coef(saturated, included) + D @ coef(saturated, omitted)``,
     the two sufficient orthogonality conditions and the exact vanishing
     criterion ``F_+^T (F_- - mean F_-) gamma_-``, with
-    ``F_+^T F_- = X_+^T diag(N_z) X_-``.  As rank([F_+ F_-]) = rank(F_+) +
-    rank(R) for the residual matrix R of F_- on F_+, and the full design has
-    full rank exactly when no cell is empty, the empty-cell check also
-    guards R.
+    ``F_+^T F_- = X_+^T diag(N_z) X_-``.  No 2^K x 2^K array is formed:
+    the correction ``D gamma_-`` is ``A_+ (X_- gamma_-)``, with ``X_-
+    gamma_-`` the Kronecker apply of the cell rows to gamma with its
+    intercept and included entries zeroed, and ``X^T diag(N_z) X_+`` takes
+    one transposed Kronecker apply per included column.  As rank([F_+ F_-])
+    = rank(F_+) + rank(R) for the residual matrix R of F_- on F_+, and the
+    full design has full rank exactly when no cell is empty, the empty-cell
+    check also guards R.
     """
     design = build_design(data, spec)
     if design.omitted_pos.size == 0:
         raise ValueError("model is saturated; nothing is omitted")
     counts, means, ss = data.moments
-    gamma = (_saturated_map(spec.delta.delta, counts) @ means)[1:]
+    _check_saturated(counts)
+    shifts = spec.delta.delta
+    order = _term_order(spec.K)
+    gamma = kron_apply(_inverse_factors(shifts), means)[order][1:]
     rows = design.included_rows
     A_plus = _coef_map(rows, counts)
     uns_fit = _wls(A_plus, rows, counts, means, ss, spec.terms)
-    d = (A_plus @ design.omitted_rows)[1:]
     gamma_plus, gamma_minus = gamma[design.included_pos], gamma[design.omitted_pos]
+    minus_masks = order[1 + design.omitted_pos]
+    omitted_only = np.zeros(2 ** spec.K)
+    omitted_only[minus_masks] = gamma_minus
+    correction = (A_plus @ kron_apply(_row_factors(shifts), omitted_only))[1:]
 
-    # F_+^T as cell sums, and F_- centred at its count-weighted mean
-    weighted_plus = rows.T * counts
-    X_minus = design.omitted_rows
-    centered_minus = X_minus - counts @ X_minus / counts.sum()
+    # F_+^T F_- as cell sums, and F_- centred at its count-weighted mean, whose
+    # sums are row 0 (the intercept column of F_+)
+    cross = kron_apply(_transposed(_row_factors(shifts)), counts[:, None] * rows)
+    raw = cross[minus_masks].T
+    centered = raw - np.outer(cross[0], raw[0]) / counts.sum()
     report = {
         "fit": uns_fit,
-        "relation_rel_err": rel_err(uns_fit.coef_noint, gamma_plus + d @ gamma_minus),
-        "correction": d @ gamma_minus,
-        "orthogonal_raw": float(np.abs(weighted_plus @ X_minus).max()),
-        "orthogonal_centered": float(np.abs(weighted_plus @ centered_minus).max()),
-        "exact_criterion": weighted_plus[1:] @ centered_minus @ gamma_minus,
+        "relation_rel_err": rel_err(uns_fit.coef_noint, gamma_plus + correction),
+        "correction": correction,
+        "orthogonal_raw": float(np.abs(raw).max()),
+        "orthogonal_centered": float(np.abs(centered).max()),
+        "exact_criterion": centered[1:] @ gamma_minus,
         "unsaturated_coef": uns_fit.coef_noint,
         "saturated_plus_coef": gamma_plus,
     }

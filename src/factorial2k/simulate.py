@@ -21,7 +21,7 @@ from .errors import (
     TooManyAssignmentsError,
 )
 from .estimation import normal_quantile
-from .regression import _cell_rows, _coef_map, _saturated_map, build_design
+from .regression import _cell_rows, _coef_map, _full_rows, _saturated_map, build_design
 from .weighting import product_scheme
 
 ENUMERATION_GUARD = 10 ** 7
@@ -492,14 +492,14 @@ def compare_saturated_unsaturated(table, sizes, spec):
     if spec.K != table.K:
         raise ValueError("population and model disagree on the number of factors")
     p = len(spec.terms)
-    rows, included_rows, _, included_pos, _ = _cell_rows(spec)
+    included_rows, included_pos, _ = _cell_rows(spec)
     sat = _saturated_map(spec.delta.delta, sizes.sizes)[1:][included_pos]
     A_plus = _coef_map(included_rows, sizes.sizes)
     mean, cov = exact_expectations(table, sizes, np.vstack([sat, A_plus[1:]]))
     mean_sat, mean_uns = mean[:p], mean[p:]
     cov_sat, cov_uns = cov[:p, :p], cov[p:, p:]
 
-    J = (A_plus @ rows)[1:, 1:]
+    J = (A_plus @ _full_rows(spec.delta.delta))[1:, 1:]
     G = contrast_matrix(product_scheme(spec.delta), spec.K).matrix
     JG = J @ G
     cov_formula = JG @ truth_covariance_of_cell_means(table, sizes) @ JG.T

@@ -689,19 +689,23 @@ def test_analyze_computes_cell_moments_once(plain_csv_2x2, tmp_path, monkeypatch
     assert len(passes) == 1
 
 
-@pytest.mark.parametrize("scheme, builds", [("equal", 1), ("empirical", 2)])
-def test_analyze_saturated_builds_g_once_per_scheme(plain_csv_2x2, tmp_path, monkeypatch, scheme, builds):
-    # the equal scheme is the product scheme of its own marginals, so the
-    # identity check shares its G; unbalanced empirical weights need a second one
+@pytest.mark.parametrize("scheme", ["equal", "empirical"])
+@pytest.mark.parametrize("model", [[], ["--model", "A"]], ids=["saturated", "model"])
+def test_analyze_builds_no_contrast_matrix(plain_csv_2x2, tmp_path, monkeypatch, scheme, model):
+    # estimates, SEs and both identity checks run on per-factor transforms;
+    # the dense G is built only for --covariance
     with open(plain_csv_2x2, "a") as fh:
         fh.write("1,1,8\n")
     kernels = spy_calls(monkeypatch, "contrasts", "_yates_rows")
-    code, payload = run_cli(
-        ["analyze", "--input", plain_csv_2x2, "--factors", "A,B", "--scheme", scheme], tmp_path
-    )
+    argv = ["analyze", "--input", plain_csv_2x2, "--factors", "A,B", "--scheme", scheme, *model]
+    code, payload = run_cli(argv, tmp_path)
     assert code == EXIT_OK
     assert payload["verification"]["pass"] is True
-    assert len(kernels) == builds
+    assert len(kernels) == 0
+    code, payload = run_cli([*argv, "--covariance"], tmp_path, name="cov.json")
+    assert code == EXIT_OK
+    assert "covariance" in payload["moment"]
+    assert len(kernels) >= 1
 
 
 def test_main_builds_parser_once_and_reads_seed_each_call(tmp_path, monkeypatch):
@@ -720,3 +724,34 @@ def test_main_builds_parser_once_and_reads_seed_each_call(tmp_path, monkeypatch)
     # an explicit --seed still wins over the environment
     _, payload = run_cli(["verify", "--K", "2", "--seed", "9"], tmp_path)
     assert payload["config"]["args"]["seed"] == 9
+
+
+def test_analyze_reaches_max_factors_without_a_dense_array(tmp_path, monkeypatch):
+    # a default analyze at K = MAX_FACTORS forms no 2^K x 2^K array: the dense
+    # contrast matrix alone would take 128 MiB
+    import tracemalloc
+
+    from factorial2k.core import MAX_FACTORS
+
+    K = MAX_FACTORS
+    labels = [f"F{k}" for k in range(K)]
+    cells = np.repeat(np.arange(2 ** K), 2)
+    y = np.random.default_rng(12).normal(size=cells.size) + cells % 7
+    path = tmp_path / "wide.csv"
+    prefix = ["".join(f"{(c >> (K - 1 - k)) & 1}," for k in range(K)) for c in range(2 ** K)]
+    path.write_text(",".join(labels + ["Y"]) + "\n" + "".join(
+        f"{prefix[c]}{v!r}\n" for c, v in zip(cells.tolist(), y.tolist())
+    ))
+    builds = spy_calls(monkeypatch, "contrasts", "contrast_matrix")
+    tracemalloc.start()
+    try:
+        argv = ["analyze", "--input", str(path), "--factors", ",".join(labels)]
+        code, payload = run_cli(argv, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert payload["verification"]["pass"] is True
+    assert len(payload["moment"]["effects"]) == 2 ** K - 1
+    assert builds == []
+    assert peak < 32 * 2 ** 20, peak

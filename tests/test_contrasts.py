@@ -13,10 +13,19 @@ from factorial2k import (
     pi_cross,
     true_effects,
 )
+from factorial2k.contrasts import (
+    general_effect_variances,
+    general_effects,
+    general_effects_transposed,
+    kron_apply,
+)
 from factorial2k.core import cell_index
 from factorial2k.errors import DimensionMismatchError
+from factorial2k.regression import rel_err
 from factorial2k.simulate import make_no_three_way_population, add_three_way_term
 from factorial2k.weighting import WeightingScheme, product_scheme
+
+from conftest import spy_calls
 
 
 def _row_recursive(subset, rest_levels, K):
@@ -312,3 +321,51 @@ def test_contrast_matrix_peak_memory_is_about_one_matrix():
         tracemalloc.stop()
     assert G.shape == (2 ** K - 1, 2 ** K)
     assert peak < 1.25 * G.nbytes
+
+
+def _oracle_schemes(K, rng):
+    """Dirichlet, equal and product joints, and one joint with zero-mass cells."""
+    Q = 2 ** K
+    sparse = rng.dirichlet(np.ones(Q))
+    sparse[rng.choice(Q, size=Q // 2, replace=False)] = 0.0
+    return [
+        from_joint(rng.dirichlet(np.ones(Q))),
+        equal_scheme(K),
+        product_scheme(rng.uniform(0, 1, K)),
+        from_joint(sparse / sparse.sum()),
+    ]
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_general_effect_transforms_match_dense_contrast_matrix(K):
+    # G y, (G o G) v and G^T u from the 3^K lift/reduce against the dense G
+    rng = np.random.default_rng(200 + K)
+    Q = 2 ** K
+    y, v, u = rng.normal(size=Q) * 10, rng.uniform(0.1, 2.0, size=Q), rng.normal(size=Q - 1)
+    for scheme in _oracle_schemes(K, rng):
+        G = contrast_matrix(scheme, K).matrix
+        assert rel_err(general_effects(scheme, y), G @ y) <= 1e-13
+        assert rel_err(general_effect_variances(scheme, v), (G * G) @ v) <= 1e-13
+        assert rel_err(general_effects_transposed(scheme, u), G.T @ u) <= 1e-13
+
+
+@pytest.mark.parametrize("K", [1, 3, 5])
+def test_kron_apply_matches_dense_kronecker_product(K):
+    rng = np.random.default_rng(210 + K)
+    factors = [rng.normal(size=(rng.integers(1, 4), rng.integers(1, 4))) for _ in range(K)]
+    dense = np.ones((1, 1))
+    for F in factors:
+        dense = np.kron(dense, F)
+    x = rng.normal(size=dense.shape[1])
+    X = rng.normal(size=(dense.shape[1], 3))
+    np.testing.assert_allclose(kron_apply(factors, x), dense @ x, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(kron_apply(factors, X), dense @ X, rtol=1e-13, atol=1e-13)
+
+
+def test_general_effects_form_no_contrast_matrix(monkeypatch):
+    kernels = spy_calls(monkeypatch, "contrasts", "_yates_rows")
+    scheme = equal_scheme(4)
+    general_effects(scheme, np.arange(16.0))
+    general_effect_variances(scheme, np.ones(16))
+    general_effects_transposed(scheme, np.ones(15))
+    assert kernels == []

@@ -9,6 +9,7 @@ from factorial2k import (
     contrast_matrix,
     default_spec,
     enumerate_subsets,
+    equal_scheme,
     enumerate_treatments,
     moment_estimates,
     ols_fit,
@@ -20,10 +21,12 @@ from factorial2k import (
     verify_omitted_relation,
     wls_fit,
 )
-from factorial2k.errors import RankDeficientError
+from factorial2k import regression
+from factorial2k.errors import IdentityViolationError, RankDeficientError
 from factorial2k.estimation import RANK_RTOL
 from factorial2k.regression import (
     _coef_map,
+    _sandwich,
     _saturated_map,
     _wls,
     closed_form_two_way_omitted_map,
@@ -563,3 +566,112 @@ def test_model_spec_validation():
     spec = ModelSpec(np.array([0.5, 0.5]), ((0, 1), (0,), (1,)))
     assert spec.terms == ((0,), (1,), (0, 1))
     assert spec.saturated
+
+
+def _saturated_data(K, seed, low=2):
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(low, 5, size=2 ** K)
+    data = make_dataset(K, sizes, lambda c, r: 3.0 * c + r.normal(), rng)
+    return data, _shifts_with_bounds(K, seed)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_saturated_kronecker_apply_matches_dense_map(K):
+    # gamma and the HC0 diagonal by per-factor applies against the dense Kronecker inverse
+    data, delta = _saturated_data(K, 230 + K)
+    counts, means, ss = data.moments
+    A = _saturated_map(delta, counts)
+    w = ss / counts ** 2
+    fit, verification = saturated_fit(data, delta)
+    assert rel_err(fit.coefficients, A @ means) <= 1e-13
+    assert rel_err(fit.robust_var, (A * A) @ w) <= 1e-13
+    assert "robust_cov" not in vars(fit)
+    assert verification["cov_rel_err"] <= 1e-13
+    assert verification["dense_cov_rel_err"] is None
+    assert rel_err(fit.robust_cov, _sandwich(A, w)) <= 1e-13
+
+
+def test_saturated_fit_dense_check_on_request():
+    data, delta = _saturated_data(3, 241)
+    _, verification = saturated_fit(data, delta, covariance=True)
+    assert verification["dense_cov_rel_err"] <= 1e-13
+
+
+def test_saturated_fit_skips_covariance_check_with_singleton_cell():
+    data, delta = _saturated_data(3, 242, low=1)
+    assert (data.moments[0] == 1).any()
+    _, verification = saturated_fit(data, delta, covariance=True)
+    assert verification["cov_rel_err"] is None
+    assert verification["dense_cov_rel_err"] is None
+
+
+def _wrong_probe_side(monkeypatch):
+    # the fit side of the probe applies A instead of A^T: its HC0 is then wrong
+    # off the diagonal only, since the diagonal comes from the squared factors
+    monkeypatch.setattr(regression, "_transposed", lambda factors: list(factors))
+
+
+def _wrong_scheme_probe(monkeypatch):
+    # the G side of the probe uses the equal scheme's G^T
+    exact = regression.general_effects_transposed
+    monkeypatch.setattr(
+        regression,
+        "general_effects_transposed",
+        lambda scheme, u: exact(equal_scheme(scheme.K), u),
+    )
+
+
+@pytest.mark.parametrize("mutate", [_wrong_probe_side, _wrong_scheme_probe])
+@pytest.mark.parametrize("K", [2, 3, 5])
+def test_saturated_probe_catches_off_diagonal_mutation(monkeypatch, mutate, K):
+    # the coefficients and the HC0 diagonal do not pass through the probe, so
+    # only the probe can see these mutations; the dense check of the full
+    # sandwiches caught the same errors
+    data, _ = _saturated_data(K, 250 + K)
+    delta = np.linspace(0.15, 0.7, K)  # no symmetric factor: A differs from A^T
+    _, verification = saturated_fit(data, delta)
+    assert verification["cov_rel_err"] <= 1e-13
+    mutate(monkeypatch)
+    with pytest.raises(IdentityViolationError):
+        saturated_fit(data, delta)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_included_rows_equal_full_rows_bit_for_bit(K):
+    rng = np.random.default_rng(260 + K)
+    delta = _shifts_with_bounds(K, 260 + K)
+    all_terms = enumerate_subsets(K)
+    chosen = sorted(rng.choice(len(all_terms), size=rng.integers(1, len(all_terms) + 1), replace=False))
+    data = make_dataset(K, np.ones(2 ** K, dtype=int), lambda c, r: float(c))
+    design = build_design(data, ModelSpec(delta, tuple(all_terms[i] for i in chosen)))
+    assert "rows" not in vars(design)
+    full = design.rows[:, np.concatenate([[0], 1 + design.included_pos])]
+    assert design.included_rows.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("K", [2, 3, 5, 7])
+def test_verify_omitted_relation_matches_dense_oracle(K):
+    # the matrix-free correction and orthogonality diagnostics against the dense rows
+    rng = np.random.default_rng(270 + K)
+    all_terms = enumerate_subsets(K)
+    data = random_dataset(K, rng)
+    n_terms = int(rng.integers(1, len(all_terms)))
+    chosen = sorted(rng.choice(len(all_terms), size=n_terms, replace=False).tolist())
+    spec = ModelSpec(rng.uniform(0, 1, K), tuple(all_terms[i] for i in chosen))
+    report = verify_omitted_relation(data, spec)
+
+    counts, means, _ = data.moments
+    design = build_design(data, spec)
+    X_plus, X_minus = design.included_rows, design.omitted_rows
+    gamma = (_saturated_map(spec.delta.delta, counts) @ means)[1:]
+    gamma_minus = gamma[design.omitted_pos]
+    d = (_coef_map(X_plus, counts) @ X_minus)[1:]
+    weighted_plus = X_plus.T * counts
+    centered = X_minus - counts @ X_minus / counts.sum()
+    assert rel_err(report["saturated_plus_coef"], gamma[design.included_pos]) <= 1e-12
+    assert rel_err(report["correction"], d @ gamma_minus) <= 1e-10
+    assert report["orthogonal_raw"] == pytest.approx(np.abs(weighted_plus @ X_minus).max(), rel=1e-12)
+    assert report["orthogonal_centered"] == pytest.approx(
+        np.abs(weighted_plus @ centered).max(), rel=1e-10, abs=1e-12
+    )
+    assert rel_err(report["exact_criterion"], weighted_plus[1:] @ centered @ gamma_minus) <= 1e-10
