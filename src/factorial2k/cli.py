@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .contrasts import contrast_matrix
-from .core import cell_summary, ingest_csv, parse_subset_label, FactorSpec
+from .core import MAX_FACTORS, cell_summary, ingest_csv, parse_subset_label, FactorSpec
 from .errors import (
     Factorial2kError,
     IdentityViolationError,
@@ -156,13 +156,16 @@ def cmd_simulate(args):
         if getattr(args, name) < 1:
             raise ParseError(f"{name} must be >= 1")
     sizes = DesignSizes(np.array([int(s) for s in args.sizes.split(",")]))
+    # before the population, whose N x Q table a bad Q could make huge
+    K = sizes.Q.bit_length() - 1
+    if sizes.Q != 2 ** K or K > MAX_FACTORS:
+        raise ParseError(f"--sizes needs 2^K cells with 1 <= K <= {MAX_FACTORS}, got {sizes.Q}")
     table = _load_population(args, sizes)
     if (table.N, table.Q) != (sizes.N, sizes.Q):
         raise ParseError(
             f"population has {table.N} units and {table.Q} cells, "
             f"--sizes gives {sizes.N} units in {sizes.Q} cells"
         )
-    K = table.K
     if args.delta:
         scheme = product_scheme(_parse_floats(args.delta, K, "--delta"))
     else:

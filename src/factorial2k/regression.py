@@ -10,8 +10,9 @@ cell rows of the design, weighted by the cell counts: the saturated rows are
 square and inverted in closed form as a Kronecker product, which is applied
 factor by factor and never formed; any other model takes its coefficient map
 from one singular value decomposition of its included rows, in numpy's
-LAPACK.  The dense saturated rows, map and HC0 covariance are formed only
-when they are read.
+LAPACK.  Every dense design column comes from one builder, ``_cell_rows``;
+the dense saturated map and HC0 covariance are formed only when they are
+read.
 """
 
 from dataclasses import dataclass, field
@@ -54,8 +55,7 @@ class ModelSpec:
     terms: tuple  # tuple of factor-index tuples, canonical order
 
     def __post_init__(self):
-        if not isinstance(self.delta, ShiftVector):
-            object.__setattr__(self, "delta", ShiftVector(np.asarray(self.delta, float)))
+        object.__setattr__(self, "delta", _shift_vector(self.delta))
         K = self.delta.K
         allowed = set(enumerate_subsets(K))
         terms = tuple(tuple(sorted(t)) for t in self.terms)
@@ -79,13 +79,17 @@ class ModelSpec:
         return len(self.terms) == 2 ** self.K - 1
 
 
+def _shift_vector(delta):
+    return delta if isinstance(delta, ShiftVector) else ShiftVector(np.asarray(delta, float))
+
+
 def saturated_spec(delta):
-    delta = delta if isinstance(delta, ShiftVector) else ShiftVector(np.asarray(delta, float))
+    delta = _shift_vector(delta)
     return ModelSpec(delta, tuple(enumerate_subsets(delta.K)))
 
 
 def additive_spec(delta):
-    delta = delta if isinstance(delta, ShiftVector) else ShiftVector(np.asarray(delta, float))
+    delta = _shift_vector(delta)
     return ModelSpec(delta, tuple((k,) for k in range(delta.K)))
 
 
@@ -107,47 +111,36 @@ def _inverse_factors(delta):
     return [np.array([[1.0 - d, d], [-1.0, 1.0]]) for d in delta]
 
 
-def _full_rows(delta):
-    """All 2^K saturated cell rows, intercept first, then every term canonically.
+def _cell_rows(delta, masks):
+    """Cell columns prod_{k in S}(z_k - delta_k), one row per cell, one column per bitmask S.
 
-    The ``kron_k`` of the row factors, a dense 2^K x 2^K array.
+    The one builder of dense design columns; mask 0 is the intercept.  Each
+    column is multiplied by z_k - delta_k for each factor k of its subset in
+    ascending order, the products ``kron_k [[1, -delta_k], [1, 1 - delta_k]]``
+    forms, so every entry equals that dense array's bit for bit.
     """
-    X = np.ones((1, 1))
-    for F in _row_factors(delta):
-        X = np.kron(X, F)
-    return X[:, _term_order(len(delta))]
-
-
-def _cell_rows(spec):
-    """Included cell rows of the model, and the included and omitted term positions.
-
-    Intercept plus the included columns prod_{k in S}(z_k - delta_k), one
-    row per cell, built factor by factor on those columns only: each column
-    is multiplied by z_k - delta_k for each factor k of its term in
-    ascending order, the products ``kron_k`` forms, so the entries equal the
-    full rows' bit for bit.
-    """
-    K = spec.K
-    included = set(spec.terms)
-    is_plus = np.array([s in included for s in enumerate_subsets(K)])
-    plus_pos, minus_pos = np.flatnonzero(is_plus), np.flatnonzero(~is_plus)
+    K = len(delta)
     cells = (np.arange(2 ** K)[:, None] >> np.arange(K - 1, -1, -1)) & 1
-    shifted = cells - spec.delta.delta
-    masks = _term_order(K)[np.concatenate([[0], 1 + plus_pos])]
-    rows = np.ones((2 ** K, masks.size))
+    shifted = cells - delta
+    rows = np.ones((2 ** K, len(masks)))
     for k in range(K):
         holds = (masks >> (K - 1 - k)) & 1 == 1
         rows[:, holds] *= shifted[:, k : k + 1]
-    return rows, plus_pos, minus_pos
+    return rows
+
+
+def _included(spec):
+    """The model's included cell rows, intercept first, and its included and omitted positions."""
+    included = set(spec.terms)
+    is_plus = np.array([s in included for s in enumerate_subsets(spec.K)])
+    plus_pos, minus_pos = np.flatnonzero(is_plus), np.flatnonzero(~is_plus)
+    masks = _term_order(spec.K)[np.concatenate([[0], 1 + plus_pos])]
+    return _cell_rows(spec.delta.delta, masks), plus_pos, minus_pos
 
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Design rows x_z, one per cell; the unit-level matrices index them by cell.
-
-    Only the included columns are built; ``rows`` (all 2^K columns) and
-    ``omitted_rows`` are formed when read.
-    """
+    """Included design rows x_z, one per cell; the unit-level matrix indexes them by cell."""
 
     spec: ModelSpec
     included_rows: np.ndarray  # 2^K x (1 + #terms), intercept first
@@ -159,22 +152,12 @@ class DesignMatrix:
     def included(self):
         return self.included_rows[self.cell]
 
-    @cached_property
-    def rows(self):
-        """2^K x 2^K, intercept first, then all terms canonically."""
-        return _full_rows(self.spec.delta.delta)
-
-    @cached_property
-    def omitted_rows(self):
-        """2^K x (2^K - 1 - #terms)."""
-        return self.rows[:, 1 + self.omitted_pos]
-
 
 def build_design(data, spec):
     """The model's included cell rows with each unit's cell."""
     if data.spec.K != spec.K:
         raise ValueError("data and model disagree on the number of factors")
-    return DesignMatrix(spec, *_cell_rows(spec), data.cell)
+    return DesignMatrix(spec, *_included(spec), data.cell)
 
 
 @dataclass(frozen=True)
@@ -348,8 +331,8 @@ def saturated_fit(data, delta, covariance=False):
     dense ``G diag(w) G^T`` (``dense_cov_rel_err``).  An empty cell raises
     RankDeficientError.
     """
-    spec = saturated_spec(delta)
-    K, shifts = spec.K, spec.delta.delta
+    delta = _shift_vector(delta)
+    K, shifts = delta.K, delta.delta
     counts, means, ss = data.moments
     _check_saturated(counts)
     order = _term_order(K)
@@ -357,12 +340,12 @@ def saturated_fit(data, delta, covariance=False):
     w = ss / counts ** 2
     factors = _inverse_factors(shifts)
     fit = FitResult(
-        spec.terms,
+        tuple(enumerate_subsets(K)),
         kron_apply(factors, means)[order],
         kron_apply([F * F for F in factors], w)[order],
         lambda: _sandwich(_saturated_map(shifts, counts), w),
     )
-    scheme = product_scheme(spec.delta)
+    scheme = product_scheme(delta)
     verification = {
         "coef_rel_err": rel_err(fit.coef_noint, general_effects(scheme, means)),
         "cov_rel_err": None,
@@ -431,9 +414,36 @@ def omitted_algebra(design):
     """
     if design.omitted_pos.size == 0:
         raise ValueError("model is saturated; nothing is omitted")
-    counts = np.bincount(design.cell, minlength=design.rows.shape[0])
-    phi = _coef_map(design.included_rows, counts) @ design.omitted_rows
+    K = design.spec.K
+    counts = np.bincount(design.cell, minlength=2 ** K)
+    omitted = _cell_rows(design.spec.delta.delta, _term_order(K)[1 + design.omitted_pos])
+    phi = _coef_map(design.included_rows, counts) @ omitted
     return OmittedTermAlgebra(phi, phi[1:, :])
+
+
+def _unsaturated_maps(spec, counts):
+    """Included term positions, ``A_+`` and ``J = A_+ X`` at fixed cell counts.
+
+    A_+ is the coefficient map of the included cell rows weighted by the
+    counts.  J applies it to every design column and drops the intercept
+    row and column: the identity on the included terms and D on the
+    omitted ones, so it maps the saturated coefficients into the
+    unsaturated ones.
+    """
+    rows, plus_pos, _ = _included(spec)
+    A_plus = _coef_map(rows, counts)
+    return plus_pos, A_plus, (A_plus @ _cell_rows(spec.delta.delta, _term_order(spec.K)))[1:, 1:]
+
+
+def unsaturated_moment_map(data, spec):
+    """Selection-plus-correction matrix (I, D) over all canonical terms.
+
+    J = A_+ X at the cell counts of ``data``: it maps the full saturated
+    coefficient vector into the unsaturated one.
+    """
+    if data.spec.K != spec.K:
+        raise ValueError("data and model disagree on the number of factors")
+    return _unsaturated_maps(spec, np.bincount(data.cell, minlength=2 ** spec.K))[2]
 
 
 def verify_omitted_relation(data, spec):

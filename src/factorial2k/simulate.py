@@ -21,7 +21,8 @@ from .errors import (
     TooManyAssignmentsError,
 )
 from .estimation import normal_quantile
-from .regression import _cell_rows, _coef_map, _full_rows, _saturated_map, build_design
+# unsaturated_moment_map is re-exported: J in the exact moments J G Ybar and J G V G^T J^T
+from .regression import _saturated_map, _unsaturated_maps, unsaturated_moment_map
 from .weighting import product_scheme
 
 ENUMERATION_GUARD = 10 ** 7
@@ -464,19 +465,6 @@ def truth_covariance_of_cell_means(table, sizes):
     return np.diag(np.diag(S) / sizes.sizes) - S / table.N
 
 
-def unsaturated_moment_map(data, spec):
-    """Selection-plus-correction matrix (I, D) over all canonical terms.
-
-    Maps the full saturated coefficient vector into the unsaturated one:
-    J = A_+ X, the coefficient map of the count-weighted included rows
-    applied to every design column, is the identity on the included terms
-    and D on the omitted ones.
-    """
-    design = build_design(data, spec)
-    counts = np.bincount(design.cell, minlength=design.rows.shape[0])
-    return (_coef_map(design.included_rows, counts) @ design.rows)[1:, 1:]
-
-
 def compare_saturated_unsaturated(table, sizes, spec):
     """Exact covariance ordering between saturated and unsaturated fits.
 
@@ -492,14 +480,12 @@ def compare_saturated_unsaturated(table, sizes, spec):
     if spec.K != table.K:
         raise ValueError("population and model disagree on the number of factors")
     p = len(spec.terms)
-    included_rows, included_pos, _ = _cell_rows(spec)
+    included_pos, A_plus, J = _unsaturated_maps(spec, sizes.sizes)
     sat = _saturated_map(spec.delta.delta, sizes.sizes)[1:][included_pos]
-    A_plus = _coef_map(included_rows, sizes.sizes)
     mean, cov = exact_expectations(table, sizes, np.vstack([sat, A_plus[1:]]))
     mean_sat, mean_uns = mean[:p], mean[p:]
     cov_sat, cov_uns = cov[:p, :p], cov[p:, p:]
 
-    J = (A_plus @ _full_rows(spec.delta.delta))[1:, 1:]
     G = contrast_matrix(product_scheme(spec.delta), spec.K).matrix
     JG = J @ G
     cov_formula = JG @ truth_covariance_of_cell_means(table, sizes) @ JG.T

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from factorial2k import AssignmentTable, default_spec
+from factorial2k import AssignmentTable, default_spec, enumerate_subsets
 
 
 @pytest.fixture
@@ -27,6 +27,21 @@ def make_dataset(K, sizes, outcome_fn, rng=None):
     levels = ((cells[:, None] >> np.arange(K - 1, -1, -1)) & 1).astype(np.int64)
     outcome = np.array([outcome_fn(c, rng) for c in cells])
     return AssignmentTable(spec, levels, outcome)
+
+
+def dense_cell_rows(delta):
+    """Oracle: every cell column prod_{k in S}(z_k - delta_k), intercept first, then canonically.
+
+    The ``np.kron`` of the per-factor rows ``[[1, -delta_k], [1, 1 - delta_k]]``
+    (``0.0 - d``: a zero shift gives +0.0, as z_k - delta_k does), whose
+    column with bit K-1-k set holds factor k.
+    """
+    K = len(delta)
+    X = np.ones((1, 1))
+    for d in delta:
+        X = np.kron(X, np.array([[1.0, 0.0 - d], [1.0, 1.0 - d]]))
+    order = [0] + [sum(1 << (K - 1 - k) for k in subset) for subset in enumerate_subsets(K)]
+    return X[:, order]
 
 
 def spy_calls(monkeypatch, module, name):

@@ -26,7 +26,7 @@ from factorial2k.cli import (
     main,
     resolve_scheme,
 )
-from factorial2k.core import FactorSpec, cell_summary, parse_subset_label
+from factorial2k.core import MAX_FACTORS, FactorSpec, cell_summary, parse_subset_label
 from factorial2k.errors import ParseError
 from factorial2k.regression import ModelSpec, rel_err, saturated_fit, verify_omitted_relation
 from factorial2k.simulate import DesignSizes
@@ -633,11 +633,22 @@ def test_simulate_population_and_sizes_must_agree(tmp_path, capsys):
     )
     assert code == EXIT_VALIDATION
     assert "4 cells, --sizes gives 16 units in 8 cells" in capsys.readouterr().err
-    code, _ = run_cli(
-        ["simulate", "--population", "no-three-way", "--sizes", "2,2,2"], tmp_path
-    )
-    assert code == EXIT_VALIDATION
-    assert "4 cells, --sizes gives 6 units in 3 cells" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cells", [3, 6, 2 ** (MAX_FACTORS + 1)])
+def test_simulate_rejects_cell_count_before_population(tmp_path, monkeypatch, capsys, cells):
+    # 2^(MAX_FACTORS + 1) cells of two units would be a 1 GiB population table
+    def load(args, sizes):
+        raise AssertionError("population built")
+
+    monkeypatch.setattr(cli, "_load_population", load)
+    sizes = ",".join(["2"] * cells)
+    for population in ("no-three-way", "heterogeneous"):
+        argv = ["simulate", "--population", population, "--sizes", sizes]
+        code, payload = run_cli(argv, tmp_path)
+        assert (code, payload) == (EXIT_VALIDATION, None)
+        err = capsys.readouterr().err
+        assert f"--sizes needs 2^K cells with 1 <= K <= {MAX_FACTORS}, got {cells}" in err
 
 
 @pytest.mark.parametrize("mode", [[], ["--exact"]])

@@ -35,12 +35,12 @@ from factorial2k.regression import (
 )
 from factorial2k.verify import random_dataset
 
-from conftest import make_dataset
+from conftest import dense_cell_rows, make_dataset
 
 
 def test_build_design_half_shift(balanced_2x2):
     design = build_design(balanced_2x2, saturated_spec([0.5, 0.5]))
-    full = design.rows[design.cell]
+    full = design.included
     assert full.shape == (8, 4)
     assert set(np.unique(full[:, 1])) == {-0.5, 0.5}
     assert set(np.unique(full[:, 3])) == {-0.25, 0.25}
@@ -48,7 +48,7 @@ def test_build_design_half_shift(balanced_2x2):
 
 def test_build_design_zero_shift_is_dummy(balanced_2x2):
     design = build_design(balanced_2x2, saturated_spec([0.0, 0.0]))
-    full = design.rows[design.cell]
+    full = design.included
     np.testing.assert_array_equal(full[:, 1], balanced_2x2.assignment[:, 0])
     np.testing.assert_array_equal(
         full[:, 3],
@@ -59,7 +59,7 @@ def test_build_design_zero_shift_is_dummy(balanced_2x2):
 def test_build_design_sign_coding_relation(balanced_2x2):
     design = build_design(balanced_2x2, saturated_spec([0.5, 0.5]))
     signs = 2.0 * balanced_2x2.assignment - 1.0
-    full = design.rows[design.cell]
+    full = design.included
     np.testing.assert_array_equal(full[:, 1], signs[:, 0] / 2)
     np.testing.assert_array_equal(full[:, 3], signs[:, 0] * signs[:, 1] / 4)
 
@@ -146,7 +146,7 @@ def test_saturated_kronecker_map_matches_qr_oracle(K):
     data = make_dataset(K, rng.integers(1, 6, size=2 ** K), lambda c, r: c + r.normal(), rng)
     delta = rng.uniform(0, 1, K)
     delta[::3], delta[1::3] = 0.0, 1.0
-    rows = build_design(data, saturated_spec(delta)).rows
+    rows = dense_cell_rows(delta)
     counts, means, ss = data.moments
     oracle = _wls(_coef_map(rows, counts), rows, counts, means, ss)
     fit, _ = saturated_fit(data, delta)
@@ -164,7 +164,7 @@ def _shifts_with_bounds(K, seed):
 def test_design_rows_match_explicit_shifted_products(K):
     delta = _shifts_with_bounds(K, 90 + K)
     data = make_dataset(K, np.ones(2 ** K, dtype=int), lambda c, r: float(c))
-    rows = build_design(data, saturated_spec(delta)).rows
+    rows = build_design(data, saturated_spec(delta)).included_rows
     cells = enumerate_treatments(K)
     np.testing.assert_array_equal(rows[:, 0], np.ones(2 ** K))
     for j, subset in enumerate(enumerate_subsets(K), start=1):
@@ -211,7 +211,8 @@ def test_omitted_algebra_balanced_half_shift_zero():
     algebra = omitted_algebra(design)
     np.testing.assert_allclose(algebra.d, np.zeros_like(algebra.d), atol=1e-14)
     # included columns orthogonal to the residual matrix
-    residual_matrix = design.omitted_rows[design.cell] - design.included @ algebra.phi
+    omitted = dense_cell_rows([0.5, 0.5])[:, 1 + design.omitted_pos]
+    residual_matrix = omitted[design.cell] - design.included @ algebra.phi
     assert np.abs(design.included.T @ residual_matrix).max() <= 1e-9
 
 
@@ -322,7 +323,7 @@ def test_exact_criterion_matches_residual_regression_oracle(K):
         spec = ModelSpec(rng.uniform(0, 1, K), tuple(all_terms[i] for i in chosen))
         report = verify_omitted_relation(data, spec)
         design = build_design(data, spec)
-        omitted = design.omitted_rows[design.cell]
+        omitted = dense_cell_rows(spec.delta.delta)[:, 1 + design.omitted_pos][design.cell]
         R = omitted - design.included @ omitted_algebra(design).phi
         centered = omitted - omitted.mean(axis=0)
         oracle = (
@@ -561,8 +562,9 @@ def test_model_spec_validation():
         ModelSpec(np.array([0.5, 0.5]), ())
     with pytest.raises(ValueError):
         ModelSpec(np.array([0.5, 0.5]), ((0,), (0,)))
-    with pytest.raises(ValueError):
-        ModelSpec(np.array([0.5, 0.5]), ((2,),))
+    for terms in (((2,),), ((0, 0),), ((-1,),)):
+        with pytest.raises(ValueError):
+            ModelSpec(np.array([0.5, 0.5]), terms)
     spec = ModelSpec(np.array([0.5, 0.5]), ((0, 1), (0,), (1,)))
     assert spec.terms == ((0,), (1,), (0, 1))
     assert spec.saturated
@@ -638,15 +640,24 @@ def test_saturated_probe_catches_off_diagonal_mutation(monkeypatch, mutate, K):
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_included_rows_equal_full_rows_bit_for_bit(K):
+    # the one column builder, on the included, the omitted and every column,
+    # against the dense Kronecker oracle; bytes, so signed zeros count
     rng = np.random.default_rng(260 + K)
-    delta = _shifts_with_bounds(K, 260 + K)
+    # zero and unit shifts give signed zeros; at least three other factors
+    # from K=7 on make the product order show in the last bit
+    delta = rng.uniform(0, 1, K)
+    delta[::4], delta[1::4] = 0.0, 1.0
     all_terms = enumerate_subsets(K)
     chosen = sorted(rng.choice(len(all_terms), size=rng.integers(1, len(all_terms) + 1), replace=False))
     data = make_dataset(K, np.ones(2 ** K, dtype=int), lambda c, r: float(c))
     design = build_design(data, ModelSpec(delta, tuple(all_terms[i] for i in chosen)))
-    assert "rows" not in vars(design)
-    full = design.rows[:, np.concatenate([[0], 1 + design.included_pos])]
-    assert design.included_rows.tobytes() == full.tobytes()
+    full = dense_cell_rows(delta)
+    included = np.concatenate([[0], 1 + design.included_pos])
+    omitted = 1 + design.omitted_pos
+    order = regression._term_order(K)
+    assert design.included_rows.tobytes() == full[:, included].tobytes()
+    assert regression._cell_rows(delta, order[omitted]).tobytes() == full[:, omitted].tobytes()
+    assert regression._cell_rows(delta, order).tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("K", [2, 3, 5, 7])
@@ -662,7 +673,8 @@ def test_verify_omitted_relation_matches_dense_oracle(K):
 
     counts, means, _ = data.moments
     design = build_design(data, spec)
-    X_plus, X_minus = design.included_rows, design.omitted_rows
+    X_plus = design.included_rows
+    X_minus = dense_cell_rows(spec.delta.delta)[:, 1 + design.omitted_pos]
     gamma = (_saturated_map(spec.delta.delta, counts) @ means)[1:]
     gamma_minus = gamma[design.omitted_pos]
     d = (_coef_map(X_plus, counts) @ X_minus)[1:]

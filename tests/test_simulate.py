@@ -30,7 +30,7 @@ from factorial2k.errors import (
     TooManyAssignmentsError,
 )
 from factorial2k.contrasts import contrast_matrix
-from factorial2k import simulate
+from factorial2k import regression, simulate
 from factorial2k.simulate import (
     BLOCK_ELEMENTS,
     replicate_rng,
@@ -315,6 +315,8 @@ def test_unsaturated_moment_map_is_identity_plus_omitted_map():
     J = unsaturated_moment_map(data, spec)
     np.testing.assert_allclose(J[:, design.included_pos], np.eye(4), atol=1e-12)
     np.testing.assert_allclose(J[:, design.omitted_pos], omitted_algebra(design).d, rtol=1e-12)
+    # one definition, in the regression layer; simulate re-exports it
+    assert simulate.unsaturated_moment_map is regression.unsaturated_moment_map
 
 
 def test_sim_report_roundtrip(small_population):
