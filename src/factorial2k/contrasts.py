@@ -14,9 +14,10 @@ The estimates never need G itself.  Per factor, lift the cell means to
 lifted cells the joint holds every marginal ``pi_{-S}(z_{-S})`` at once and
 the means every signed difference over S.  Their product, reduced per factor
 by ``(a0, a1, a2) -> (a0 + a1, a2)``, is ``G y`` over every subset bitmask S,
-in O(K 3^K).  The dense G is built only when it is read, by Yates's
-algorithm on the joint: factor by factor, each row whose subset holds the
-factor sums it out and signs the sum by its level.
+in O(K 3^K).  The dense G is built only when it is read, and from the same
+lifted joint: ``G[S, z]`` is the lifted cell that sums out the factors of S
+and keeps z's levels elsewhere, negated when z holds an odd number of S's
+factors at level 0.
 """
 
 from dataclasses import dataclass
@@ -91,46 +92,27 @@ def general_effects_transposed(scheme, u):
     return kron_apply([_W.T] * K, lifted)
 
 
-def _yates_rows(joint, K):
-    """Rows (-1)^(|S| - |z_S|) * pi_{-S}(z_{-S}) over every cell z, one per bitmask S.
+def _dense_rows(scheme):
+    """G in canonical row order: ``G[S, z] = (-1)^popcount(S & ~z) * P[T(z & ~S) + 2 T(S)]``.
 
-    Row S starts as the joint; pass k, on the rows whose mask holds factor
-    k, writes the sum over factor k's two levels back as -sum at level 0
-    and +sum at level 1, in place through reshaped views.  Row 0 is the
-    joint itself.  The full-interaction row starts as a point mass, so its
-    weight is exactly one, not a sum.
+    ``T(m)`` is the lifted index of mask m's levels, bit j of m as base-3
+    digit j, so the entry of P it reads is the marginal of the factors
+    outside S at z's levels.  The full-interaction row reads ``P[-1]``,
+    exactly one.  Rows are gathered into the preallocated G a chunk of about
+    2^14 entries at a time, so no other 2^K x 2^K array is formed.
     """
-    Q = 2 ** K
-    G = np.tile(joint, (Q, 1))
-    G[-1] = np.arange(Q) == 0
-    for k in range(K):
-        outer, inner = 2 ** k, 2 ** (K - 1 - k)
-        rows = G.reshape(outer, 2, inner, outer, 2, inner)[:, 1]
-        low, high = rows[..., 0, :], rows[..., 1, :]
-        high += low
-        np.negative(high, out=low)
-    return G
-
-
-def _permute_rows(G, order):
-    """Move row ``order[i]`` of G to row i, in place, for a permutation ``order``.
-
-    Follows the permutation's cycles with one spare row, so the reordering
-    never copies the whole array.
-    """
-    order = order.tolist()
-    done = [False] * len(order)
-    for start in range(len(order)):
-        if done[start]:
-            continue
-        spare = G[start].copy()
-        i = start
-        while order[i] != start:
-            G[i] = G[order[i]]
-            done[i] = True
-            i = order[i]
-        G[i] = spare
-        done[i] = True
+    K, Q = scheme.K, 2 ** scheme.K
+    P = _lifted_joint(scheme)
+    cells = np.arange(Q)
+    bits = (cells[:, None] >> np.arange(K)) & 1
+    # T(m) and (-1)^popcount(m) for every mask m
+    T, sign = bits @ 3 ** np.arange(K), 1.0 - 2.0 * (bits.sum(axis=1) & 1)
+    masks = canonical_masks(K)
+    G = np.empty((Q - 1, Q))
+    step = max(1, 2 ** 14 // Q)
+    for start in range(0, Q - 1, step):
+        S = masks[start:start + step, None]
+        np.multiply(P[T[cells & ~S] + 2 * T[S]], sign[S & ~cells], out=G[start:start + step])
     return G
 
 
@@ -181,18 +163,16 @@ def contrast_matrix(scheme, K):
     if scheme.K != K:
         raise DimensionMismatchError("scheme and K disagree")
     if "contrast_matrix" not in scheme._cache:
-        # the empty subset's row 0 goes last and is cut off
-        order = np.append(canonical_masks(K), 0)
-        rows = _permute_rows(_yates_rows(scheme.joint, K), order)[:-1]
+        rows = _dense_rows(scheme)
         rows.setflags(write=False)
         scheme._cache["contrast_matrix"] = ContrastMatrix(rows, tuple(enumerate_subsets(K)))
     return scheme._cache["contrast_matrix"]
 
 
 def true_effects(means, scheme):
-    """General effects G_pi @ Ybar for a cell-mean vector (or object with .means)."""
+    """General effects G_pi @ Ybar for a cell-mean vector (or object with .means), with no dense G."""
     ybar = np.asarray(getattr(means, "means", means), dtype=np.float64)
     K = scheme.K
     if ybar.shape != (2 ** K,):
         raise DimensionMismatchError(f"expected {2 ** K} cell means")
-    return contrast_matrix(scheme, K).matrix @ ybar
+    return general_effects(scheme, ybar)

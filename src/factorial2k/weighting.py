@@ -70,16 +70,19 @@ class WeightingScheme:
         if subset not in self._cache:
             subset_mask(subset, self.K)
             tensor = self.joint.reshape((2,) * self.K)
-            # one factor at a time in factor order, as the contrast kernel sums,
-            # so G's weights are bit-identical to these marginals
+            # one factor at a time in factor order, as the lift sums, so G's
+            # weights are bit-identical to these marginals
             for k in sorted(set(range(self.K)) - set(subset)):
                 tensor = tensor.sum(axis=k, keepdims=True)
             self._cache[subset] = tensor.reshape(-1)
         return self._cache[subset]
 
     def factor_one_probs(self):
-        """Vector of pi(factor k = 1) for k = 1..K."""
-        return np.array([self.marginal((k,))[1] for k in range(self.K)])
+        """Vector of pi(factor k = 1) for k = 1..K.
+
+        Clipped to [0, 1]: the summed joint can land an ulp past 1.
+        """
+        return np.clip([self.marginal((k,))[1] for k in range(self.K)], 0.0, 1.0)
 
 
 def from_joint(mass):

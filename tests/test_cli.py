@@ -359,6 +359,15 @@ def test_cli_commands_run_without_scipy(csv_2x2, tmp_path):
     assert out.stdout.splitlines() == [f"{EXIT_OK} False"] * len(runs)
 
 
+def test_analyze_product_scheme_with_a_one_probability_of_one(tmp_path):
+    # A's summed marginal lands an ulp past 1 unless it is clipped
+    path = _write_experiment(tmp_path / "data.csv", 3, np.random.default_rng(8))
+    argv = ["analyze", "--input", path, "--factors", "A,B,C", "--scheme", "product:1,0.08,0.1"]
+    code, payload = run_cli(argv, tmp_path)
+    assert code == EXIT_OK
+    assert payload["verification"]["pass"] is True
+
+
 def test_analyze_writes_one_line_of_json(csv_2x2, tmp_path):
     code, payload = run_cli(["analyze", "--input", csv_2x2, "--factors", "A,B"], tmp_path)
     text = (tmp_path / "out.json").read_text()
@@ -707,7 +716,7 @@ def test_analyze_builds_no_contrast_matrix(plain_csv_2x2, tmp_path, monkeypatch,
     # the dense G is built only for --covariance
     with open(plain_csv_2x2, "a") as fh:
         fh.write("1,1,8\n")
-    kernels = spy_calls(monkeypatch, "contrasts", "_yates_rows")
+    kernels = spy_calls(monkeypatch, "contrasts", "_dense_rows")
     argv = ["analyze", "--input", plain_csv_2x2, "--factors", "A,B", "--scheme", scheme, *model]
     code, payload = run_cli(argv, tmp_path)
     assert code == EXIT_OK

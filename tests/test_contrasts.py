@@ -336,6 +336,24 @@ def _oracle_schemes(K, rng):
     ]
 
 
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6])
+def test_contrast_matrix_is_signed_marginals_bit_for_bit(K):
+    # G[S, z] = (-1)^(|S| - |z_S|) pi_{-S}(z_{-S}), compared by bytes so that
+    # the sign of a zero weight counts; the law of no factors is exactly one
+    rng = np.random.default_rng(220 + K)
+    for scheme in _oracle_schemes(K, rng):
+        expected = np.empty((2 ** K - 1, 2 ** K))
+        for i, subset in enumerate(enumerate_subsets(K)):
+            rest = [k for k in range(K) if k not in subset]
+            weights = scheme.marginal(rest) if rest else np.ones(1)
+            for z in range(2 ** K):
+                levels = [(z >> (K - 1 - k)) & 1 for k in range(K)]
+                w = weights[sum(levels[k] << (len(rest) - 1 - j) for j, k in enumerate(rest))]
+                zeros = sum(1 - levels[k] for k in subset)
+                expected[i, z] = -w if zeros % 2 else w
+        assert contrast_matrix(scheme, K).matrix.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_general_effect_transforms_match_dense_contrast_matrix(K):
     # G y, (G o G) v and G^T u from the 3^K lift/reduce against the dense G
@@ -363,7 +381,7 @@ def test_kron_apply_matches_dense_kronecker_product(K):
 
 
 def test_general_effects_form_no_contrast_matrix(monkeypatch):
-    kernels = spy_calls(monkeypatch, "contrasts", "_yates_rows")
+    kernels = spy_calls(monkeypatch, "contrasts", "_dense_rows")
     scheme = equal_scheme(4)
     general_effects(scheme, np.arange(16.0))
     general_effect_variances(scheme, np.ones(16))

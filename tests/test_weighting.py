@@ -143,6 +143,15 @@ def test_pi_cross_fixed_point_on_product():
     np.testing.assert_allclose(pi_cross(s).joint, s.joint, atol=1e-15)
 
 
+def test_one_probabilities_stay_in_the_unit_interval():
+    # the summed joint puts factor 0's one-probability at 1.0000000000000002
+    s = product_scheme([1.0, 0.08, 0.1])
+    probs = s.factor_one_probs()
+    assert ((probs >= 0) & (probs <= 1)).all()
+    assert is_product(s)
+    np.testing.assert_allclose(pi_cross(s).joint, s.joint, atol=1e-15)
+
+
 def test_pi_cross_marginalize_then_multiply():
     s = from_joint([0.1, 0.2, 0.3, 0.4])
     # product of (.3,.7) x (.4,.6)
