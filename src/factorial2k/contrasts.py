@@ -70,17 +70,24 @@ def _lifted_joint(scheme):
 
 
 def general_effects(scheme, y):
-    """``G y`` in canonical subset order, with no dense G: ``R (P o W y)``."""
+    """``G y`` in canonical subset order, with no dense G: ``R (P o W y)``.
+
+    ``y`` is a Q-vector or a (Q, B) block of B vectors, one per column.
+    """
     K = scheme.K
-    lifted = _lifted_joint(scheme) * kron_apply([_W] * K, y)
+    lifted = (_lifted_joint(scheme) * kron_apply([_W] * K, y).T).T
     return kron_apply([_R] * K, lifted)[canonical_masks(K)]
 
 
 def general_effect_variances(scheme, v):
-    """``(G o G) v``, the diagonal of ``G diag(v) G^T``: ``R (P^2 o S v)``."""
+    """``(G o G) v``, the diagonal of ``G diag(v) G^T``: ``R (P^2 o S v)``.
+
+    ``v`` is a Q-vector or a (Q, B) block, as in ``general_effects``.
+    """
     K = scheme.K
     P = _lifted_joint(scheme)
-    return kron_apply([_R] * K, P * P * kron_apply([_S] * K, v))[canonical_masks(K)]
+    lifted = (P * P * kron_apply([_S] * K, v).T).T
+    return kron_apply([_R] * K, lifted)[canonical_masks(K)]
 
 
 def general_effects_transposed(scheme, u):

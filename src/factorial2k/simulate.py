@@ -5,7 +5,9 @@ complete randomization fixes the cell sizes and draws a uniformly random
 partition of the units; exact design-based moments of any estimator follow
 by enumerating every assignment, and Monte Carlo covers designs too large
 to enumerate.  Both cut an index range (lexicographic ranks or replicate
-numbers) into the same blocks of assignments and reduce them in one driver.
+numbers) into the same blocks of assignments and reduce them in one driver;
+an exact block holds a fixed range of ranks and is grown from the prefix
+tree of the assignments.
 """
 
 from dataclasses import dataclass
@@ -132,27 +134,47 @@ def _blocks(n, N, make):
     return (make(range(lo, min(lo + rows, n))) for lo in range(0, n, rows))
 
 
-def _assignments(sizes, count, ranks):
-    """(B, N) block of the assignments with the given lexicographic ranks.
+def _ranked(sizes, count, ranks):
+    """(B, N) block of the assignments with the consecutive lexicographic ``ranks``.
 
-    Position by position, of the ``count`` assignments sharing a row's
-    prefix, count * left_v // (N - pos) put cell v next; the rank picks the
-    first cell whose running total exceeds it and keeps its offset there.
-    The guard keeps count * N below 5e10, so this is exact in int64.
+    The prefix tree of the assignments grows one position at a time:
+    ``np.nonzero`` of the cells left to each kept prefix lists its children
+    in lexicographic order, and the children from the one holding the first
+    rank to the one holding the last are kept.  Only those two boundary
+    prefixes are counted, in Python ints: of the c assignments sharing a
+    prefix with m positions to fill, c * n_v / m put cell v next.  The rows
+    are read off the kept cells and parent pointers by one backtracking
+    gather per position.
     """
-    rank = np.array(ranks, dtype=np.int64)
-    rows = np.arange(rank.size)
-    count = np.full(rank.size, count, dtype=np.int64)
-    left = np.tile(sizes.sizes, (rank.size, 1))
-    out = np.empty((rank.size, sizes.N), dtype=np.int64)
-    for pos in range(sizes.N):
-        share = count[:, None] * left // (sizes.N - pos)
-        ends = np.cumsum(share, axis=1)
-        v = (ends <= rank[:, None]).sum(axis=1)
-        out[:, pos] = v
-        count = share[rows, v]
-        rank -= ends[rows, v] - count
-        left[rows, v] -= 1
+    left = sizes.sizes[None, :]
+    # the prefixes holding the first and the last rank: [cells left, count, offset]
+    ends = [[sizes.sizes.tolist(), count, rank] for rank in (ranks[0], ranks[-1])]
+    levels = []
+    for m in range(sizes.N, 0, -1):
+        parent, cell = np.nonzero(left)
+        cut = []
+        for end in ends:
+            counts, c, rank = end
+            kids = [v for v, n in enumerate(counts) if n]
+            for i, v in enumerate(kids):
+                share = c * counts[v] // m
+                if rank < share:
+                    break
+                rank -= share
+            counts[v] -= 1
+            end[1:] = share, rank
+            cut.append((i, len(kids) - 1 - i))
+        keep = slice(cut[0][0], len(cell) - cut[1][1])
+        parent, cell = parent[keep], cell[keep]
+        left = left[parent]
+        left[np.arange(len(parent)), cell] -= 1
+        levels.append((parent, cell))
+    out = np.empty((len(ranks), sizes.N), dtype=np.int64)
+    row = np.arange(len(ranks))
+    for pos in range(sizes.N - 1, -1, -1):
+        parent, cell = levels[pos]
+        out[:, pos] = cell[row]
+        row = parent[row]
     return out
 
 
@@ -170,7 +192,7 @@ def _enumeration(sizes):
             f"about 10^{log_count / math.log(10):.1f} assignments exceed the enumeration "
             f"guard of {ENUMERATION_GUARD}; drop --exact to run Monte Carlo"
         )
-    return _blocks(count, sizes.N, lambda ranks: _assignments(sizes, count, ranks))
+    return _blocks(count, sizes.N, lambda ranks: _ranked(sizes, count, ranks))
 
 
 def enumerate_assignments(sizes):
@@ -307,13 +329,15 @@ def exact_expectations(table, sizes, estimator):
 
     ``estimator`` is a (P, Q) matrix M, the moment estimator M Yhat of the
     cell means, or a callable mapping an AssignmentTable to a flat vector.
-    Lexicographic ranks are unranked into the blocks Monte Carlo uses: M is
-    applied to a whole block's cell means from one cell-moment pass, a
-    callable to ``observe`` of each assignment.  Above ENUMERATION_GUARD
-    assignments, decided before any N! is formed, it raises
-    TooManyAssignmentsError.  A callable's package errors are counted and
-    reported via EstimatorFailureError: exact moments conditioned on success
-    would not be exact.  (M Yhat cannot fail: each cell holds >= 2 units.)
+    Assignments are enumerated in lexicographic order, in the fixed rank
+    ranges Monte Carlo cuts its replicate numbers into, each block grown
+    from the prefix tree of the assignments: M is applied to a whole
+    block's cell means from one cell-moment pass, a callable to ``observe``
+    of each assignment.  Above ENUMERATION_GUARD assignments, decided
+    before any N! is formed, it raises TooManyAssignmentsError.  A
+    callable's package errors are counted and reported via
+    EstimatorFailureError: exact moments conditioned on success would not
+    be exact.  (M Yhat cannot fail: each cell holds >= 2 units.)
     """
     evaluate, estimate, _ = _block_evaluator(table, sizes, estimator)
     n, failures, mean, cov, _, _ = _drive(_enumeration(sizes), evaluate, estimate)
@@ -396,10 +420,11 @@ def monte_carlo(table, sizes, estimator, reps, seed, truth=None, alpha=0.05, wor
     block of B replicates is drawn by one ``rng.permuted`` call, which gives
     the same rows.  (Version 0.1.0 seeded each replicate on its own, so its
     reports for a fixed seed differ.)  Replicate numbers are cut into the
-    blocks exact enumeration cuts its ranks into, evaluated in order and
-    reduced in replicate order.  ``workers`` (>= 1) is accepted for
-    compatibility and does not change the computation: the report is
-    bit-identical for a fixed (seed, reps), whatever BLOCK_ELEMENTS.
+    ranges exact enumeration cuts its lexicographic ranks into, evaluated
+    in order and reduced in replicate order.  ``workers`` (>= 1) is
+    accepted for compatibility and does not change the computation: the
+    report is bit-identical for a fixed (seed, reps), whatever
+    BLOCK_ELEMENTS.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")

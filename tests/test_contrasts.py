@@ -367,6 +367,22 @@ def test_general_effect_transforms_match_dense_contrast_matrix(K):
         assert rel_err(general_effects_transposed(scheme, u), G.T @ u) <= 1e-13
 
 
+@pytest.mark.parametrize("K", [1, 2, 3, 5])
+def test_general_effect_transforms_take_a_block_of_columns(K):
+    # B = 3^K too, where the 3^K lifted joint would broadcast along the wrong axis
+    rng = np.random.default_rng(220 + K)
+    Q = 2 ** K
+    for B in (1, 4, 3 ** K):
+        Y, V = rng.normal(size=(Q, B)) * 10, rng.uniform(0.1, 2.0, size=(Q, B))
+        for scheme in _oracle_schemes(K, rng):
+            G = contrast_matrix(scheme, K).matrix
+            effects, variances = general_effects(scheme, Y), general_effect_variances(scheme, V)
+            assert effects.shape == variances.shape == (Q - 1, B)
+            for b in range(B):
+                assert rel_err(effects[:, b], G @ Y[:, b]) <= 1e-13
+                assert rel_err(variances[:, b], (G * G) @ V[:, b]) <= 1e-13
+
+
 @pytest.mark.parametrize("K", [1, 3, 5])
 def test_kron_apply_matches_dense_kronecker_product(K):
     rng = np.random.default_rng(210 + K)

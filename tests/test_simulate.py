@@ -92,11 +92,15 @@ def test_enumeration_guard():
 
 
 @pytest.mark.parametrize("sizes", [(2, 2), (2, 3, 2), (3, 2, 2)])
-def test_enumerate_assignments_lexicographic(sizes):
-    # the order fixes the blocks and so the exact reports bit for bit
+def test_enumerate_assignments_lexicographic(sizes, monkeypatch):
+    # the order fixes the blocks and so the exact reports bit for bit; the
+    # default blocks hold every assignment, blocks of 1 and 4 rows do not
     base = np.repeat(np.arange(len(sizes)), sizes).tolist()
-    out = [tuple(a) for a in enumerate_assignments(DesignSizes(np.array(sizes)))]
-    assert out == sorted(set(itertools.permutations(base)))
+    want = sorted(set(itertools.permutations(base)))
+    for rows in (BLOCK_ELEMENTS // len(base), 1, 4):
+        monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", rows * len(base))
+        out = [tuple(a) for a in enumerate_assignments(DesignSizes(np.array(sizes)))]
+        assert out == want, rows
 
 
 def test_enumerate_assignments_many_units():
@@ -104,16 +108,21 @@ def test_enumerate_assignments_many_units():
     np.testing.assert_array_equal(first, [0, 0] + [1] * 1200)
 
 
-def test_unrank_exact_at_largest_design_under_guard():
-    # C(4472, 2) is just under the guard, so count * N peaks near 4.5e10 here
+def test_enumerate_assignments_two_in_cell_zero_in_combination_order(monkeypatch):
+    # blocks of 7 rows, so most blocks start and end inside a subtree
+    sizes = DesignSizes(np.array([2, 60]))
+    monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 7 * sizes.N)
+    zeros = [tuple(np.flatnonzero(a == 0)) for a in enumerate_assignments(sizes)]
+    assert zeros == list(itertools.combinations(range(sizes.N), 2))
+
+
+def test_enumerate_assignments_at_largest_design_under_guard():
+    # C(4472, 2) is just under the guard
     sizes = DesignSizes(np.array([2, 4470]))
-    count = sizes.assignment_count()
-    assert count <= simulate.ENUMERATION_GUARD
-    out = simulate._assignments(sizes, count, [0, 1, count - 2, count - 1])
-    np.testing.assert_array_equal(out[0], [0, 0] + [1] * 4470)
-    np.testing.assert_array_equal(out[1], [0, 1, 0] + [1] * 4469)
-    np.testing.assert_array_equal(out[2], [1] * 4469 + [0, 1, 0])
-    np.testing.assert_array_equal(out[3], [1] * 4470 + [0, 0])
+    assert sizes.assignment_count() <= simulate.ENUMERATION_GUARD
+    rows = enumerate_assignments(sizes)
+    np.testing.assert_array_equal(next(rows), [0, 0] + [1] * 4470)
+    np.testing.assert_array_equal(next(rows), [0, 1, 0] + [1] * 4469)
 
 
 def test_enumeration_guard_forms_no_factorial():
