@@ -94,7 +94,7 @@ def cmd_analyze(args):
     summary = cell_summary(data, variances=True)
     scheme = resolve_scheme(args.scheme, summary, spec.K)
 
-    if args.delta:
+    if args.delta is not None:
         delta = _parse_floats(args.delta, spec.K, "--delta")
     else:
         # default: pair the shifts with the scheme's marginal one-probabilities
@@ -109,7 +109,7 @@ def cmd_analyze(args):
     }
 
     model = None
-    if args.model:
+    if args.model is not None:
         terms = tuple(parse_subset_label(t, spec) for t in args.model.split(","))
         model = ModelSpec(shifts, terms)
     if model is None or model.saturated:
@@ -166,7 +166,7 @@ def cmd_simulate(args):
             f"population has {table.N} units and {table.Q} cells, "
             f"--sizes gives {sizes.N} units in {sizes.Q} cells"
         )
-    if args.delta:
+    if args.delta is not None:
         scheme = product_scheme(_parse_floats(args.delta, K, "--delta"))
     else:
         scheme = equal_scheme(K)
@@ -207,7 +207,7 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
-    delta = _parse_floats(args.delta, args.K, "--delta") if args.delta else None
+    delta = _parse_floats(args.delta, args.K, "--delta") if args.delta is not None else None
     records = run_identity_suite(
         K=args.K,
         seed=args.seed,

@@ -14,13 +14,17 @@ The estimates never need G itself.  Per factor, lift the cell means to
 lifted cells the joint holds every marginal ``pi_{-S}(z_{-S})`` at once and
 the means every signed difference over S.  Their product, reduced per factor
 by ``(a0, a1, a2) -> (a0 + a1, a2)``, is ``G y`` over every subset bitmask S,
-in O(K 3^K).  The dense G is built only when it is read, and from the same
-lifted joint: ``G[S, z]`` is the lifted cell that sums out the factors of S
-and keeps z's levels elsewhere, negated when z holds an odd number of S's
+in O(K 3^K).  ``effect_map`` is that map as a ``FactorMap``, the one type
+for a per-factor linear map: it applies G, ``G o G`` and ``G^T`` to a vector
+or a block, and the regression's saturated map and design are FactorMaps
+too.  The dense G is built only when it is read, and from the same lifted
+joint: ``G[S, z]`` is the lifted cell that sums out the factors of S and
+keeps z's levels elsewhere, negated when z holds an odd number of S's
 factors at level 0.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -69,34 +73,49 @@ def _lifted_joint(scheme):
     return scheme._cache["lifted_joint"]
 
 
-def general_effects(scheme, y):
-    """``G y`` in canonical subset order, with no dense G: ``R (P o W y)``.
+class FactorMap:
+    """The map ``kron(R) diag(P) kron(W)`` with its output rows taken in ``order``, never formed.
 
-    ``y`` is a Q-vector or a (Q, B) block of B vectors, one per column.
+    ``R`` and ``W`` hold one matrix per factor, factor 0 on the slowest axis;
+    with no ``P`` and ``W`` the map is ``kron(R)`` alone.  Each operation
+    takes a vector or a (n, B) block of B columns:
+
+    - ``M(y)``;
+    - ``M.squared(v)``, ``(M o M) v`` as ``kron(R o R) diag(P^2) kron(W o W) v``,
+      which holds when each output and input meet in at most one lifted
+      cell, as they do in G and in any Kronecker product;
+    - ``M.T(u)``, ``M^T u`` for u indexed like the output rows, scattered
+      back to full index order here and nowhere else.
     """
+
+    def __init__(self, R, order, P=None, W=None):
+        self.R, self.order, self.P, self.W = R, order, P, W
+
+    def _apply(self, R, P, W, x):
+        if W is not None:
+            x = (P * kron_apply(W, x).T).T
+        return kron_apply(R, x)[self.order]
+
+    def __call__(self, y):
+        return self._apply(self.R, self.P, self.W, y)
+
+    def squared(self, v):
+        if self.W is None:
+            return self._apply([F * F for F in self.R], None, None, v)
+        return self._apply([F * F for F in self.R], self.P * self.P, [F * F for F in self.W], v)
+
+    def T(self, u):
+        u = np.asarray(u, dtype=np.float64)
+        full = np.zeros((math.prod(len(F) for F in self.R), *u.shape[1:]))
+        full[self.order] = u
+        x = kron_apply([F.T for F in self.R], full)
+        return x if self.W is None else kron_apply([F.T for F in self.W], (self.P * x.T).T)
+
+
+def effect_map(scheme):
+    """G as a FactorMap, ``R (P o W y)`` over the lifted joint, rows in canonical subset order."""
     K = scheme.K
-    lifted = (_lifted_joint(scheme) * kron_apply([_W] * K, y).T).T
-    return kron_apply([_R] * K, lifted)[canonical_masks(K)]
-
-
-def general_effect_variances(scheme, v):
-    """``(G o G) v``, the diagonal of ``G diag(v) G^T``: ``R (P^2 o S v)``.
-
-    ``v`` is a Q-vector or a (Q, B) block, as in ``general_effects``.
-    """
-    K = scheme.K
-    P = _lifted_joint(scheme)
-    lifted = (P * P * kron_apply([_S] * K, v).T).T
-    return kron_apply([_R] * K, lifted)[canonical_masks(K)]
-
-
-def general_effects_transposed(scheme, u):
-    """``G^T u`` for u in canonical subset order: ``W^T (P o R^T u)``."""
-    K = scheme.K
-    padded = np.zeros(2 ** K)
-    padded[canonical_masks(K)] = u
-    lifted = _lifted_joint(scheme) * kron_apply([_R.T] * K, padded)
-    return kron_apply([_W.T] * K, lifted)
+    return FactorMap([_R] * K, canonical_masks(K), _lifted_joint(scheme), [_W] * K)
 
 
 def _dense_rows(scheme):
@@ -182,4 +201,4 @@ def true_effects(means, scheme):
     K = scheme.K
     if ybar.shape != (2 ** K,):
         raise DimensionMismatchError(f"expected {2 ** K} cell means")
-    return general_effects(scheme, ybar)
+    return effect_map(scheme)(ybar)

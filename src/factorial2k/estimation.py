@@ -2,13 +2,14 @@
 
 The moment route estimates cell means Yhat and the diagonal covariance
 Vhat = diag(Shat(z,z)/N_z); the effects G Yhat and their variances
-(G o G) Vhat, the diagonal of G Vhat G^T, come from per-factor transforms of
-the scheme's joint, with no dense G.  The contrast matrix and the full
-covariance are formed only when they are read.  Confidence intervals use exact
-Normal quantiles (the design-based guarantees are asymptotic, so no t
-correction is applied).  Both distribution functions come from the standard
-library: the Normal quantile from ``statistics.NormalDist`` and the
-chi-square tail from its closed form for integer degrees of freedom.
+(G o G) Vhat, the diagonal of G Vhat G^T, come from G's per-factor map over
+the scheme's joint (``contrasts.effect_map``), with no dense G.  The contrast
+matrix and the full covariance are formed only when they are read.
+Confidence intervals use exact Normal quantiles (the design-based guarantees
+are asymptotic, so no t correction is applied).  Both distribution functions
+come from the standard library: the Normal quantile from
+``statistics.NormalDist`` and the chi-square tail from its closed form for
+integer degrees of freedom.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .contrasts import contrast_matrix, general_effect_variances, general_effects
+from .contrasts import contrast_matrix, effect_map
 from .core import cell_summary
 from .errors import DimensionMismatchError
 from .weighting import WeightingScheme
@@ -167,10 +168,11 @@ def effect_estimates(data, scheme, alpha=0.05):
     est = moment_estimates(data)
     if scheme.K != data.spec.K:
         raise DimensionMismatchError("scheme and data disagree on the number of factors")
+    G = effect_map(scheme)
     return InferenceReport(
         data.spec.effect_labels,
-        general_effects(scheme, est.y_hat),
-        general_effect_variances(scheme, est.v_hat),
+        G(est.y_hat),
+        G.squared(est.v_hat),
         scheme,
         est.v_hat,
         alpha,

@@ -7,12 +7,13 @@ from delta; unsaturated fits relate to the saturated coefficients through
 the omitted-term coefficient matrix (the column-wise regression of the
 omitted design columns on the included ones).  Every fit runs on the 2^K
 cell rows of the design, weighted by the cell counts: the saturated rows are
-square and inverted in closed form as a Kronecker product, which is applied
-factor by factor and never formed; any other model takes its coefficient map
-from one singular value decomposition of its included rows, in numpy's
-LAPACK.  Every dense design column comes from one builder, ``_cell_rows``;
-the dense saturated map and HC0 covariance are formed only when they are
-read.
+square and inverted in closed form as a Kronecker product; any other model
+takes its coefficient map from one singular value decomposition of its
+included rows, in numpy's LAPACK.  The saturated map A, the design's
+transpose X^T and G are ``contrasts.FactorMap``s, applied factor by factor
+and never formed.  Every dense design column comes from one builder,
+``_cell_rows``; the dense saturated map and HC0 covariance are formed only
+when they are read.
 """
 
 from dataclasses import dataclass, field
@@ -21,13 +22,7 @@ import random
 
 import numpy as np
 
-from .contrasts import (
-    contrast_matrix,
-    general_effect_variances,
-    general_effects,
-    general_effects_transposed,
-    kron_apply,
-)
+from .contrasts import FactorMap, contrast_matrix, effect_map
 from .core import canonical_masks, enumerate_subsets
 from .errors import IdentityViolationError, RankDeficientError
 from .estimation import RANK_RTOL, moment_estimates
@@ -308,10 +303,6 @@ def _probe(n):
     return draws / 2.0 ** 64 - 0.5
 
 
-def _transposed(factors):
-    return [F.T for F in factors]
-
-
 def saturated_fit(data, delta, covariance=False):
     """Saturated location-shifted fit, verified against the moment route.
 
@@ -319,9 +310,9 @@ def saturated_fit(data, delta, covariance=False):
     errors of the coefficient and covariance identities against the moment
     estimator under the product scheme built from delta.  The fit applies
     the Kronecker inverse ``A`` of the cell rows factor by factor; the check
-    takes G from the 3^K transform of the product joint: two independent
-    derivations, neither a dense Q x Q array.  The coefficients must equal
-    ``G ybar``.  The HC0 covariance ``A_1 diag(w) A_1^T`` (A_1 drops the
+    takes G from the 3^K lift of the product joint (``effect_map``): two
+    independent derivations, neither a dense Q x Q array.  The coefficients
+    must equal ``G ybar``.  The HC0 covariance ``A_1 diag(w) A_1^T`` (A_1 drops the
     intercept row, w_z = SS_z / N_z^2) must equal ``G diag(w) G^T``: its
     diagonal against ``(G o G) w``, and its product with one fixed seeded
     probe u, ``A_1 diag(w) A_1^T u`` against ``G diag(w) G^T u``, so an
@@ -339,45 +330,48 @@ def saturated_fit(data, delta, covariance=False):
     # the fit interpolates every cell mean, so RSS_z = SS_z
     w = ss / counts ** 2
     factors = _inverse_factors(shifts)
+    A = FactorMap(factors, order)
     fit = FitResult(
         tuple(enumerate_subsets(K)),
-        kron_apply(factors, means)[order],
-        kron_apply([F * F for F in factors], w)[order],
+        A(means),
+        A.squared(w),
         lambda: _sandwich(_saturated_map(shifts, counts), w),
     )
     scheme = product_scheme(delta)
+    G = effect_map(scheme)
     verification = {
-        "coef_rel_err": rel_err(fit.coef_noint, general_effects(scheme, means)),
+        "coef_rel_err": rel_err(fit.coef_noint, G(means)),
         "cov_rel_err": None,
         "dense_cov_rel_err": None,
     }
     errors = [verification["coef_rel_err"]]
     if (counts >= 2).all():
         u = _probe(2 ** K - 1)
-        padded = np.zeros(2 ** K)
-        padded[order[1:]] = u
-        fit_probe = kron_apply(factors, w * kron_apply(_transposed(factors), padded))[order[1:]]
-        g_probe = general_effects(scheme, w * general_effects_transposed(scheme, u))
+        A_1 = FactorMap(factors, order[1:])
         verification["cov_rel_err"] = max(
-            rel_err(fit.robust_var[1:], general_effect_variances(scheme, w)),
-            rel_err(fit_probe, g_probe),
+            rel_err(fit.robust_var[1:], G.squared(w)),
+            rel_err(A_1(w * A_1.T(u)), G(w * G.T(u))),
         )
         errors.append(verification["cov_rel_err"])
         if covariance:
-            G = contrast_matrix(scheme, K).matrix
-            verification["dense_cov_rel_err"] = rel_err(fit.robust_cov_noint, _sandwich(G, w))
+            G_dense = contrast_matrix(scheme, K).matrix
+            verification["dense_cov_rel_err"] = rel_err(fit.robust_cov_noint, _sandwich(G_dense, w))
             errors.append(verification["dense_cov_rel_err"])
     if not max(errors) <= IDENTITY_RTOL:
         raise IdentityViolationError(f"saturated-fit identities violated: {verification}")
     return fit, verification
 
 
-def unsaturated_fit(data, spec):
-    """Least squares on the included terms only, with HC0."""
+def _included_fit(data, spec, cell_weights):
+    """HC0 least squares on the model's included cell rows, cell z weighted by cell_weights[z]."""
     counts, means, ss = data.moments
     rows = build_design(data, spec).included_rows
-    A = _coef_map(rows, counts)
-    return _wls(A, rows, counts, means, ss, spec.terms)
+    return _wls(_coef_map(rows, cell_weights), rows, counts, means, ss, spec.terms)
+
+
+def unsaturated_fit(data, spec):
+    """Least squares on the included terms only, with HC0."""
+    return _included_fit(data, spec, data.moments[0])
 
 
 def wls_fit(data, spec):
@@ -385,11 +379,9 @@ def wls_fit(data, spec):
 
     HC0 is the weighted sandwich.
     """
-    counts, means, ss = data.moments
-    rows = build_design(data, spec).included_rows
+    counts = data.moments[0]
     # the cell weight N_z w_z is one for every nonempty cell
-    A = _coef_map(rows, counts / np.maximum(counts, 1))
-    return _wls(A, rows, counts, means, ss, spec.terms)
+    return _included_fit(data, spec, counts / np.maximum(counts, 1))
 
 
 @dataclass(frozen=True)
@@ -449,21 +441,20 @@ def unsaturated_moment_map(data, spec):
 def verify_omitted_relation(data, spec):
     """Check the unsaturated/saturated coefficient relation and its criteria.
 
-    Takes the saturated coefficients gamma from a Kronecker apply of the
-    inverse of the cell rows and factors the included rows once, for the
-    unsaturated fit (under ``fit``) and the correction.
+    Takes the saturated coefficients gamma from the saturated map and
+    factors the included rows once, for the unsaturated fit (under ``fit``)
+    and the correction.
     Reports the max relative error of
     ``coef(unsaturated) = coef(saturated, included) + D @ coef(saturated, omitted)``,
     the two sufficient orthogonality conditions and the exact vanishing
     criterion ``F_+^T (F_- - mean F_-) gamma_-``, with
     ``F_+^T F_- = X_+^T diag(N_z) X_-``.  No 2^K x 2^K array is formed:
-    the correction ``D gamma_-`` is ``A_+ (X_- gamma_-)``, with ``X_-
-    gamma_-`` the Kronecker apply of the cell rows to gamma with its
-    intercept and included entries zeroed, and ``X^T diag(N_z) X_+`` takes
-    one transposed Kronecker apply per included column.  As rank([F_+ F_-])
-    = rank(F_+) + rank(R) for the residual matrix R of F_- on F_+, and the
-    full design has full rank exactly when no cell is empty, the empty-cell
-    check also guards R.
+    with ``X_t``, the map X^T restricted to the intercept and omitted rows,
+    the correction ``D gamma_-`` is ``A_+ X_t.T(gamma_-)`` and ``X^T
+    diag(N_z) X_+`` is ``X_t`` applied to the block ``diag(N_z) X_+``.  As
+    rank([F_+ F_-]) = rank(F_+) + rank(R) for the residual matrix R of F_-
+    on F_+, and the full design has full rank exactly when no cell is empty,
+    the empty-cell check also guards R.
     """
     design = build_design(data, spec)
     if design.omitted_pos.size == 0:
@@ -472,20 +463,19 @@ def verify_omitted_relation(data, spec):
     _check_saturated(counts)
     shifts = spec.delta.delta
     order = _term_order(spec.K)
-    gamma = kron_apply(_inverse_factors(shifts), means)[order][1:]
+    gamma = FactorMap(_inverse_factors(shifts), order[1:])(means)
     rows = design.included_rows
     A_plus = _coef_map(rows, counts)
     uns_fit = _wls(A_plus, rows, counts, means, ss, spec.terms)
     gamma_plus, gamma_minus = gamma[design.included_pos], gamma[design.omitted_pos]
-    minus_masks = order[1 + design.omitted_pos]
-    omitted_only = np.zeros(2 ** spec.K)
-    omitted_only[minus_masks] = gamma_minus
-    correction = (A_plus @ kron_apply(_row_factors(shifts), omitted_only))[1:]
+    # X^T restricted to the intercept and the omitted columns
+    X_t = FactorMap([F.T for F in _row_factors(shifts)], order[np.r_[0, 1 + design.omitted_pos]])
+    correction = (A_plus @ X_t.T(np.r_[0.0, gamma_minus]))[1:]
 
     # F_+^T F_- as cell sums, and F_- centred at its count-weighted mean, whose
     # sums are row 0 (the intercept column of F_+)
-    cross = kron_apply(_transposed(_row_factors(shifts)), counts[:, None] * rows)
-    raw = cross[minus_masks].T
+    cross = X_t(counts[:, None] * rows)
+    raw = cross[1:].T
     centered = raw - np.outer(cross[0], raw[0]) / counts.sum()
     report = {
         "fit": uns_fit,

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .contrasts import contrast_matrix
+from .contrasts import effect_map
 from .core import AssignmentTable, _cell_moments, default_spec, enumerate_treatments
 from .errors import (
     EstimatorFailureError,
@@ -511,8 +511,7 @@ def compare_saturated_unsaturated(table, sizes, spec):
     mean_sat, mean_uns = mean[:p], mean[p:]
     cov_sat, cov_uns = cov[:p, :p], cov[p:, p:]
 
-    G = contrast_matrix(product_scheme(spec.delta), spec.K).matrix
-    JG = J @ G
+    JG = effect_map(product_scheme(spec.delta)).T(J.T).T
     cov_formula = JG @ truth_covariance_of_cell_means(table, sizes) @ JG.T
 
     diff = cov_sat - cov_uns

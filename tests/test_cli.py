@@ -263,6 +263,23 @@ def test_simulate_bad_delta_length(tmp_path, capsys, delta):
     assert capsys.readouterr().err.startswith("error: --delta needs 2 values")
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [("analyze", "--delta"), ("analyze", "--model"), ("simulate", "--delta"), ("verify", "--delta")],
+)
+def test_empty_flag_is_rejected_not_defaulted(csv_2x2, tmp_path, capsys, command, flag):
+    # an empty value reaches its parser instead of meaning "not given"
+    requests = {
+        "analyze": ["analyze", "--input", csv_2x2, "--factors", "A,B"],
+        "simulate": ["simulate", "--population", "constant", "--sizes", "2,2,2,2", "--reps", "5"],
+        "verify": ["verify", "--K", "2"],
+    }
+    code, payload = run_cli(requests[command] + [flag, ""], tmp_path)
+    assert code == EXIT_VALIDATION
+    assert payload is None
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_analyze_missing_input_file(tmp_path, capsys):
     code, _ = run_cli(
         ["analyze", "--input", str(tmp_path / "absent.csv"), "--factors", "A,B"],

@@ -13,12 +13,7 @@ from factorial2k import (
     pi_cross,
     true_effects,
 )
-from factorial2k.contrasts import (
-    general_effect_variances,
-    general_effects,
-    general_effects_transposed,
-    kron_apply,
-)
+from factorial2k.contrasts import effect_map, kron_apply
 from factorial2k.core import cell_index
 from factorial2k.errors import DimensionMismatchError
 from factorial2k.regression import rel_err
@@ -361,10 +356,10 @@ def test_general_effect_transforms_match_dense_contrast_matrix(K):
     Q = 2 ** K
     y, v, u = rng.normal(size=Q) * 10, rng.uniform(0.1, 2.0, size=Q), rng.normal(size=Q - 1)
     for scheme in _oracle_schemes(K, rng):
-        G = contrast_matrix(scheme, K).matrix
-        assert rel_err(general_effects(scheme, y), G @ y) <= 1e-13
-        assert rel_err(general_effect_variances(scheme, v), (G * G) @ v) <= 1e-13
-        assert rel_err(general_effects_transposed(scheme, u), G.T @ u) <= 1e-13
+        G, M = contrast_matrix(scheme, K).matrix, effect_map(scheme)
+        assert rel_err(M(y), G @ y) <= 1e-13
+        assert rel_err(M.squared(v), (G * G) @ v) <= 1e-13
+        assert rel_err(M.T(u), G.T @ u) <= 1e-13
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 5])
@@ -374,13 +369,16 @@ def test_general_effect_transforms_take_a_block_of_columns(K):
     Q = 2 ** K
     for B in (1, 4, 3 ** K):
         Y, V = rng.normal(size=(Q, B)) * 10, rng.uniform(0.1, 2.0, size=(Q, B))
+        U = rng.normal(size=(Q - 1, B))
         for scheme in _oracle_schemes(K, rng):
-            G = contrast_matrix(scheme, K).matrix
-            effects, variances = general_effects(scheme, Y), general_effect_variances(scheme, V)
+            G, M = contrast_matrix(scheme, K).matrix, effect_map(scheme)
+            effects, variances, back = M(Y), M.squared(V), M.T(U)
             assert effects.shape == variances.shape == (Q - 1, B)
+            assert back.shape == (Q, B)
             for b in range(B):
                 assert rel_err(effects[:, b], G @ Y[:, b]) <= 1e-13
                 assert rel_err(variances[:, b], (G * G) @ V[:, b]) <= 1e-13
+                assert rel_err(back[:, b], G.T @ U[:, b]) <= 1e-13
 
 
 @pytest.mark.parametrize("K", [1, 3, 5])
@@ -398,8 +396,9 @@ def test_kron_apply_matches_dense_kronecker_product(K):
 
 def test_general_effects_form_no_contrast_matrix(monkeypatch):
     kernels = spy_calls(monkeypatch, "contrasts", "_dense_rows")
-    scheme = equal_scheme(4)
-    general_effects(scheme, np.arange(16.0))
-    general_effect_variances(scheme, np.ones(16))
-    general_effects_transposed(scheme, np.ones(15))
+    G = effect_map(equal_scheme(4))
+    G(np.arange(16.0))
+    G.squared(np.ones(16))
+    G.T(np.ones(15))
+    G.T(np.ones((15, 3)))
     assert kernels == []

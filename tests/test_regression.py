@@ -22,6 +22,7 @@ from factorial2k import (
     wls_fit,
 )
 from factorial2k import regression
+from factorial2k.contrasts import FactorMap
 from factorial2k.errors import IdentityViolationError, RankDeficientError
 from factorial2k.estimation import RANK_RTOL
 from factorial2k.regression import (
@@ -33,9 +34,10 @@ from factorial2k.regression import (
     effective_additive_weights,
     rel_err,
 )
+from factorial2k.simulate import DesignSizes, PotentialOutcomeTable, compare_saturated_unsaturated
 from factorial2k.verify import random_dataset
 
-from conftest import dense_cell_rows, make_dataset
+from conftest import dense_cell_rows, make_dataset, spy_calls
 
 
 def test_build_design_half_shift(balanced_2x2):
@@ -608,19 +610,29 @@ def test_saturated_fit_skips_covariance_check_with_singleton_cell():
 
 
 def _wrong_probe_side(monkeypatch):
-    # the fit side of the probe applies A instead of A^T: its HC0 is then wrong
-    # off the diagonal only, since the diagonal comes from the squared factors
-    monkeypatch.setattr(regression, "_transposed", lambda factors: list(factors))
+    # A's transpose applies the forward factors, so the fit side of the probe
+    # applies A instead of A^T: its HC0 is then wrong off the diagonal only,
+    # since the diagonal comes from the squared factors
+    exact = regression.FactorMap
+
+    def mutated(factors, order):
+        A = exact(factors, order)
+        A.T = exact([F.T for F in factors], order).T
+        return A
+
+    monkeypatch.setattr(regression, "FactorMap", mutated)
 
 
 def _wrong_scheme_probe(monkeypatch):
-    # the G side of the probe uses the equal scheme's G^T
-    exact = regression.general_effects_transposed
-    monkeypatch.setattr(
-        regression,
-        "general_effects_transposed",
-        lambda scheme, u: exact(equal_scheme(scheme.K), u),
-    )
+    # G's transpose uses the equal scheme's lifted joint
+    exact = regression.effect_map
+
+    def mutated(scheme):
+        G = exact(scheme)
+        G.T = exact(equal_scheme(scheme.K)).T
+        return G
+
+    monkeypatch.setattr(regression, "effect_map", mutated)
 
 
 @pytest.mark.parametrize("mutate", [_wrong_probe_side, _wrong_scheme_probe])
@@ -636,6 +648,43 @@ def test_saturated_probe_catches_off_diagonal_mutation(monkeypatch, mutate, K):
     mutate(monkeypatch)
     with pytest.raises(IdentityViolationError):
         saturated_fit(data, delta)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 5])
+def test_saturated_and_design_maps_match_dense(K):
+    # A and X^T applied, squared and transposed, on a vector and on blocks of
+    # B columns, against the np.kron inverse and the dense cell rows; every
+    # row set, a random subset of rows too, so T's scatter is checked
+    rng = np.random.default_rng(280 + K)
+    Q = 2 ** K
+    delta = rng.uniform(0, 1, K)
+    order = regression._term_order(K)
+    A_dense, X = _saturated_map(delta, np.ones(Q)), dense_cell_rows(delta)
+    subset = np.sort(rng.choice(Q, size=rng.integers(1, Q + 1), replace=False))
+    for rows in (np.arange(Q), np.arange(1, Q), subset):
+        A = FactorMap(regression._inverse_factors(delta), order[rows])
+        X_t = FactorMap([F.T for F in regression._row_factors(delta)], order[rows])
+        A_rows, X_rows = A_dense[rows], X[:, rows].T
+        for shape in ((Q,), (Q, 1), (Q, 4), (Q, 3 ** K)):
+            y, u = rng.normal(size=shape), rng.normal(size=(len(rows), *shape[1:]))
+            assert rel_err(A(y), A_rows @ y) <= 1e-13
+            assert rel_err(A.squared(y), (A_rows * A_rows) @ y) <= 1e-13
+            assert rel_err(A.T(u), A_rows.T @ u) <= 1e-13
+            assert rel_err(X_t(y), X_rows @ y) <= 1e-13
+            assert rel_err(X_t.squared(y), (X_rows * X_rows) @ y) <= 1e-13
+            assert rel_err(X_t.T(u), X_rows.T @ u) <= 1e-13
+
+
+def test_saturated_fit_and_covariance_ordering_form_no_dense_g(monkeypatch):
+    # the dense G is read only by the saturated fit's --covariance check
+    kernels = spy_calls(monkeypatch, "contrasts", "_dense_rows")
+    data, delta = _saturated_data(4, 290)
+    saturated_fit(data, delta)
+    table = PotentialOutcomeTable(np.random.default_rng(291).normal(size=(8, 4)))
+    compare_saturated_unsaturated(table, DesignSizes(np.full(4, 2)), additive_spec([0.3, 0.6]))
+    assert kernels == []
+    saturated_fit(data, delta, covariance=True)
+    assert len(kernels) == 1
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6, 7, 8])
