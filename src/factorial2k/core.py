@@ -17,6 +17,7 @@ from itertools import combinations, product
 import csv
 import functools
 import math
+import os
 import warnings
 
 import numpy as np
@@ -29,6 +30,8 @@ from .errors import DimensionMismatchError, EmptyCellError, ParseError, Singleto
 MAX_FACTORS = 12
 # bytes per read when checking that a CSV file is plain
 READ_CHUNK = 1 << 20
+# names that np.loadtxt would open through a decompressor
+COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 @dataclass(frozen=True)
@@ -269,45 +272,55 @@ def _plain_rows(path):
 def _read_plain(path, spec, outcome_col):
     """One np.loadtxt pass over a plain file, or None to leave it to _read_rows.
 
-    Returns a table only when it equals _read_rows's: every line is one
-    row of the header's field count, every factor field is exactly "0" or
-    "1" and every outcome is finite.  Factor fields are read two characters
-    wide, so "10" stays distinct from "1"; unused columns one wide.
+    numpy's C reader parses the file straight from its path, in chunks.  A
+    name ending in a compression suffix is left to _read_rows, since numpy
+    would decompress it, and the path is made absolute, so numpy never reads
+    it as a URL.  One leading byte-order mark is dropped from the header, as
+    _read_rows does.  Returns a table only when it equals _read_rows's: every
+    line is one row of the header's field count, every factor field is
+    exactly "0" or "1" and every outcome is finite.  Factor fields are read
+    two characters wide, so "10" stays distinct from "1"; unused columns one
+    wide.
     """
+    if os.path.splitext(path)[1] in COMPRESSED_SUFFIXES:
+        return None
     rows = _plain_rows(path)
     if rows is None or rows < 1:
         return None
     try:
         with open(path, newline="") as fh:
-            header = fh.readline().rstrip("\n").split(",")
-            # a repeated column name refers to its last occurrence
-            column = {name: i for i, name in enumerate(header)}
-            if any(c not in column for c in (*spec.labels, outcome_col)):
-                return None
-            factor_cols = [column[label] for label in spec.labels]
-            y_col = column[outcome_col]
-            if y_col in factor_cols:
-                return None
-            types = ["U1"] * len(header)
-            for i in factor_cols:
-                types[i] = "U2"
-            types[y_col] = "f8"
-            dtype = np.dtype([(f"f{i}", t) for i, t in enumerate(types)])
-            with warnings.catch_warnings():
-                # a file of blank lines holds no data; the row count below sends it on
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(
-                    fh, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1
-                )
+            header = fh.readline().rstrip("\n").removeprefix("\ufeff").split(",")
+        # a repeated column name refers to its last occurrence
+        column = {name: i for i, name in enumerate(header)}
+        if any(c not in column for c in (*spec.labels, outcome_col)):
+            return None
+        factor_cols = [column[label] for label in spec.labels]
+        y_col = column[outcome_col]
+        if y_col in factor_cols:
+            return None
+        types = ["U1"] * len(header)
+        for i in factor_cols:
+            types[i] = "U2"
+        types[y_col] = "f8"
+        with warnings.catch_warnings():
+            # a file of blank lines holds no data; the row count below sends it on
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(
+                os.path.abspath(os.fsdecode(path)),
+                dtype=[(f"f{i}", t) for i, t in enumerate(types)],
+                delimiter=",", comments=None, quotechar=None, skiprows=1, ndmin=1,
+            )
     except ValueError:  # also a field count, an outcome or a byte that does not decode
         return None
     if table.size != rows:  # loadtxt skipped a blank line
         return None
+    # each factor field as its two UCS-4 code points: "0" is (48, 0) and "1" is (49, 0)
+    codes = table.view([(f"f{i}", ("u4", 2) if t == "U2" else t) for i, t in enumerate(types)])
     levels = []
     for i in factor_cols:
-        values = table[f"f{i}"]
-        one = values == "1"
-        if not (one | (values == "0")).all():
+        first, second = codes[f"f{i}"].T
+        one = first == ord("1")
+        if second.any() or not (one | (first == ord("0"))).all():
             return None
         levels.append(one)
     y = np.ascontiguousarray(table[f"f{y_col}"])
@@ -332,6 +345,8 @@ def _read_rows(path, spec, outcome_col):
         header = next(rows, None)
         if header is None:
             raise ParseError("empty file")
+        if header:
+            header[0] = header[0].removeprefix("\ufeff")
         missing = [c for c in (*spec.labels, outcome_col) if c not in header]
         if missing:
             raise ParseError(f"missing columns: {missing}")

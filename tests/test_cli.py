@@ -77,6 +77,15 @@ def test_analyze_balanced(csv_2x2, tmp_path):
     assert payload["delta"] == [0.5, 0.5]
 
 
+def test_analyze_csv_with_byte_order_mark(csv_2x2, tmp_path):
+    bom = tmp_path / "bom.csv"
+    bom.write_text("\ufeff" + Path(csv_2x2).read_text(), encoding="utf-8")
+    _, want = run_cli(["analyze", "--input", csv_2x2, "--factors", "A,B"], tmp_path)
+    code, payload = run_cli(["analyze", "--input", str(bom), "--factors", "A,B"], tmp_path)
+    assert code == EXIT_OK
+    assert payload["moment"] == want["moment"]
+
+
 def test_analyze_matches_library(csv_2x2, tmp_path):
     code, payload = run_cli(
         ["analyze", "--input", csv_2x2, "--factors", "A,B", "--scheme", "empirical"],

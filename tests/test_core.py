@@ -234,15 +234,31 @@ def _plain_text(rng, n, K=3, extra=False):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("n", [1, 2, 5000])
+def _loadtxt_calls(monkeypatch):
+    """Record the positional arguments of every np.loadtxt call."""
+    calls, original = [], np.loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 5000, 60000])
 @pytest.mark.parametrize("trailing_newline", [True, False])
 def test_ingest_plain_file_takes_vectorised_path(tmp_path, monkeypatch, n, trailing_newline):
     text = _plain_text(np.random.default_rng(n), n)
     path = tmp_path / "d.csv"
     path.write_text(text if trailing_newline else text[:-1])
+    assert (path.stat().st_size > core.READ_CHUNK) == (n == 60000)
     spec = default_spec(3)
+    loads = _loadtxt_calls(monkeypatch)
     data, row_by_row = _ingest(monkeypatch, path, spec)
     assert not row_by_row
+    # numpy's C reader reads a path in chunks, but a file handle line by line
+    assert len(loads) == 1 and isinstance(loads[0][0], str) and Path(loads[0][0]).is_absolute()
     assert data.N == n
     _assert_same_table(data, core._read_rows(path, spec, "Y"))
 
@@ -260,6 +276,61 @@ def test_ingest_vectorised_extra_column_and_repeated_name(tmp_path, monkeypatch)
     assert not row_by_row
     np.testing.assert_array_equal(data.assignment, [[0, 0], [1, 1], [1, 0]])
     np.testing.assert_array_equal(data.outcome, [1.5, -2.0, 300.0])
+    _assert_same_table(data, core._read_rows(path, spec, "Y"))
+
+
+def test_ingest_url_like_relative_path_is_read_as_a_file(tmp_path, monkeypatch):
+    def no_network(*args, **kwargs):
+        raise AssertionError("opened a URL")
+
+    import urllib.request
+    monkeypatch.setattr(urllib.request, "urlopen", no_network)
+    (tmp_path / "http:" / "x").mkdir(parents=True)
+    (tmp_path / "http:" / "x" / "d.csv").write_text("A,B,Y\n1,0,2.5\n0,1,-1\n")
+    monkeypatch.chdir(tmp_path)
+    data, row_by_row = _ingest(monkeypatch, "http://x/d.csv", default_spec(2))
+    assert not row_by_row
+    np.testing.assert_array_equal(data.outcome, [2.5, -1.0])
+
+
+@pytest.mark.parametrize("suffix", core.COMPRESSED_SUFFIXES)
+def test_ingest_plain_file_with_compression_suffix_takes_row_by_row_path(
+    tmp_path, monkeypatch, suffix
+):
+    # np.loadtxt would open the path through a decompressor
+    path = tmp_path / f"x.csv{suffix}"
+    path.write_text(_plain_text(np.random.default_rng(4), 50))
+    spec = default_spec(3)
+    loads = _loadtxt_calls(monkeypatch)
+    data, row_by_row = _ingest(monkeypatch, path, spec)
+    assert row_by_row and not loads
+    _assert_same_table(data, core._read_rows(path, spec, "Y"))
+
+
+def test_ingest_compressed_file_fails_as_row_by_row_read(tmp_path, monkeypatch):
+    import bz2
+
+    path = tmp_path / "x.csv.bz2"
+    path.write_bytes(bz2.compress(_plain_text(np.random.default_rng(5), 200).encode()))
+    spec = default_spec(3)
+    with pytest.raises(Exception) as want:
+        core._read_rows(path, spec, "Y")
+    loads = _loadtxt_calls(monkeypatch)
+    with pytest.raises(type(want.value)):
+        ingest_csv(path, spec)
+    assert not loads
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_ingest_strips_byte_order_mark_from_header(tmp_path, monkeypatch, newline):
+    # Excel's "CSV UTF-8" files start with one
+    path = tmp_path / "d.csv"
+    text = "\ufeff" + _plain_text(np.random.default_rng(6), 40)
+    path.write_text(text.replace("\n", newline), encoding="utf-8", newline="")
+    spec = default_spec(3)
+    data, row_by_row = _ingest(monkeypatch, path, spec)
+    assert row_by_row == (newline == "\r\n")
+    assert data.N == 40
     _assert_same_table(data, core._read_rows(path, spec, "Y"))
 
 
