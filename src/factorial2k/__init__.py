@@ -11,7 +11,7 @@ __version__ = "0.2.0"
 
 from .core import (
     AssignmentTable,
-    CellSummary,
+    CellMoments,
     FactorSpec,
     cell_index,
     cell_summary,
@@ -38,7 +38,6 @@ from .contrasts import (
 )
 from .estimation import (
     InferenceReport,
-    MomentEstimates,
     effect_estimates,
     moment_estimates,
 )

@@ -55,14 +55,14 @@ def _parse_floats(text, K, what):
     return values
 
 
-def resolve_scheme(name, summary, K):
-    """Scheme from a CLI descriptor: equal, empirical, or product:d1,...,dK."""
+def resolve_scheme(name, moments, K):
+    """Scheme from a CLI descriptor: equal, empirical (of the CellMoments), or product:d1,...,dK."""
     if name == "equal":
         return equal_scheme(K)
     if name == "empirical":
-        if summary is None:
+        if moments is None:
             raise ParseError("empirical scheme needs observed data")
-        return empirical_scheme(summary)
+        return empirical_scheme(moments)
     if name.startswith("product:"):
         return product_scheme(_parse_floats(name.split(":", 1)[1], K, "product scheme"))
     raise ParseError(f"unknown scheme {name!r}")
@@ -91,8 +91,7 @@ def cmd_analyze(args):
         raise ParseError("--factors is required for analyze")
     spec = FactorSpec(tuple(args.factors.split(",")))
     data = ingest_csv(args.input, spec, outcome_col=args.outcome_col)
-    summary = cell_summary(data, variances=True)
-    scheme = resolve_scheme(args.scheme, summary, spec.K)
+    scheme = resolve_scheme(args.scheme, cell_summary(data), spec.K)
 
     if args.delta is not None:
         delta = _parse_floats(args.delta, spec.K, "--delta")

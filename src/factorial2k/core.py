@@ -1,4 +1,8 @@
-"""Factors, treatment cells, observed data, and cell-level summaries.
+"""Factors, treatment cells, observed data, and its per-cell moments.
+
+Every estimator reads the data through ``CellMoments``: the counts N_z,
+means Ybar_z and within-cell sums of squares SS_z of each cell, from one
+pass, for one table or for a block of assignments.
 
 Conventions used throughout the package:
 
@@ -18,6 +22,7 @@ import csv
 import functools
 import math
 import os
+from typing import NamedTuple
 import warnings
 
 import numpy as np
@@ -167,7 +172,7 @@ class AssignmentTable:
 
     @property
     def moments(self):
-        """Read-only counts, means and within-cell sums of squares, from one pass."""
+        """The table's read-only CellMoments, from one pass, computed once."""
         if "moments" not in self._cache:
             moments = _cell_moments(self.cell, self.outcome, self.spec.Q)
             for a in moments:
@@ -176,29 +181,38 @@ class AssignmentTable:
         return self._cache["moments"]
 
 
-@dataclass(frozen=True)
-class CellSummary:
-    """Per-cell counts, proportions, means, and unbiased variances."""
+class CellMoments(NamedTuple):
+    """Per-cell counts N_z, means Ybar_z and within-cell sums of squares SS_z.
 
-    spec: FactorSpec
-    counts: np.ndarray  # (Q,)
-    means: np.ndarray  # (Q,)
-    variances: np.ndarray  # (Q,), nan where count < 2
+    Each field has shape (Q,) for one table, or (B, Q) for a block of B
+    assignments, one row each.
+    """
+
+    counts: np.ndarray
+    means: np.ndarray
+    ss: np.ndarray
 
     @property
-    def N(self):
-        return int(self.counts.sum())
+    def y_hat(self):
+        """The moment estimate of the cell means, Yhat = Ybar."""
+        return self.means
+
+    @property
+    def v_hat(self):
+        """Diagonal of the conservative covariance, Vhat_z = SS_z / (N_z - 1) / N_z."""
+        return self.ss / (self.counts - 1) / self.counts
 
     @property
     def proportions(self):
-        return self.counts / self.N
+        """Cell proportions e_z = N_z / N, per row of a block."""
+        return self.counts / self.counts.sum(axis=-1, keepdims=True)
 
 
 def _cell_moments(cells, outcomes, Q):
-    """Counts, means and within-cell sums of squares per cell; zeros for an empty cell.
+    """CellMoments of each row of assignments; zeros for an empty cell.
 
     ``cells`` (indices in 0..Q-1) and ``outcomes`` have shape (N,) for one
-    table or (B, N) for a block of B assignments; the results have shape
+    table or (B, N) for a block of B assignments; the fields have shape
     (Q,) or (B, Q).  Row b of a block uses bins b*Q .. b*Q + Q - 1 of one
     bincount, so each row's sums run in unit order, as for that row alone.
     """
@@ -211,24 +225,22 @@ def _cell_moments(cells, outcomes, Q):
     means = np.bincount(flat, weights=y, minlength=rows * Q) / np.maximum(counts, 1)
     deviation = y - means[flat]
     ss = np.bincount(flat, weights=deviation ** 2, minlength=rows * Q)
-    return counts.reshape(shape), means.reshape(shape), ss.reshape(shape)
+    return CellMoments(counts.reshape(shape), means.reshape(shape), ss.reshape(shape))
 
 
 def cell_summary(data, variances=True):
-    """Counts, means, and within-cell variances per cell.
+    """The table's CellMoments, after checking that every cell can be estimated.
 
-    Raises EmptyCellError when a cell has no units.  A cell with a single
-    unit has a NaN variance, or raises SingletonCellError when
-    ``variances`` are required.
+    Raises EmptyCellError when a cell has no units, and SingletonCellError
+    when a cell has a single unit and ``variances`` are required.  Returns
+    ``data.moments`` itself, not a copy.
     """
-    counts, means, ss = data.moments
+    counts = data.moments.counts
     if (counts == 0).any():
         raise EmptyCellError(f"cells with no units: {np.flatnonzero(counts == 0).tolist()}")
     if variances and (counts < 2).any():
         raise SingletonCellError(f"cell {np.flatnonzero(counts < 2)[0]} has a single unit")
-    var = ss / np.maximum(counts - 1, 1)
-    var[counts < 2] = np.nan
-    return CellSummary(data.spec, counts, means, var)
+    return data.moments
 
 
 def ingest_csv(path, spec, outcome_col="Y"):

@@ -1,15 +1,16 @@
 """Moment estimators, conservative covariance, and Wald-type inference.
 
 The moment route estimates cell means Yhat and the diagonal covariance
-Vhat = diag(Shat(z,z)/N_z); the effects G Yhat and their variances
-(G o G) Vhat, the diagonal of G Vhat G^T, come from G's per-factor map over
-the scheme's joint (``contrasts.effect_map``), with no dense G.  The contrast
-matrix and the full covariance are formed only when they are read.
-Confidence intervals use exact Normal quantiles (the design-based guarantees
-are asymptotic, so no t correction is applied).  Both distribution functions
-come from the standard library: the Normal quantile from
-``statistics.NormalDist`` and the chi-square tail from its closed form for
-integer degrees of freedom.
+Vhat = diag(Shat(z,z)/N_z), both read off the data's ``core.CellMoments``,
+which ``moment_estimates`` returns itself.  The effects G Yhat and their
+variances (G o G) Vhat, the diagonal of G Vhat G^T, come from G's
+per-factor map over the scheme's joint (``contrasts.effect_map``), with no
+dense G.  The contrast matrix and the full covariance are formed only when
+they are read.  Confidence intervals use exact Normal quantiles (the
+design-based guarantees are asymptotic, so no t correction is applied).
+Both distribution functions come from the standard library: the Normal
+quantile from ``statistics.NormalDist`` and the chi-square tail from its
+closed form for integer degrees of freedom.
 """
 
 from dataclasses import dataclass
@@ -53,21 +54,9 @@ def chi2_sf(df, x):
     return head + math.fsum(math.exp(a * log_h - h - math.lgamma(a + 1)) for a in powers)
 
 
-@dataclass(frozen=True)
-class MomentEstimates:
-    """Cell means and the diagonal of the conservative covariance estimator."""
-
-    y_hat: np.ndarray  # (Q,)
-    v_hat: np.ndarray  # (Q,) diagonal entries Shat(z,z)/N_z
-    counts: np.ndarray  # (Q,)
-
-
 def moment_estimates(data):
-    """Yhat and Vhat from the observed data; requires N_z >= 2 per cell."""
-    summary = cell_summary(data, variances=True)
-    return MomentEstimates(
-        summary.means, summary.variances / summary.counts, summary.counts
-    )
+    """Yhat and Vhat from the observed data: its CellMoments, which need N_z >= 2 per cell."""
+    return cell_summary(data)
 
 
 @dataclass(frozen=True)
@@ -169,11 +158,7 @@ def effect_estimates(data, scheme, alpha=0.05):
     if scheme.K != data.spec.K:
         raise DimensionMismatchError("scheme and data disagree on the number of factors")
     G = effect_map(scheme)
+    v_hat = est.v_hat
     return InferenceReport(
-        data.spec.effect_labels,
-        G(est.y_hat),
-        G.squared(est.v_hat),
-        scheme,
-        est.v_hat,
-        alpha,
+        data.spec.effect_labels, G(est.y_hat), G.squared(v_hat), scheme, v_hat, alpha
     )

@@ -6,7 +6,9 @@ estimator of the general effects under the product weighting scheme built
 from delta; unsaturated fits relate to the saturated coefficients through
 the omitted-term coefficient matrix (the column-wise regression of the
 omitted design columns on the included ones).  Every fit runs on the 2^K
-cell rows of the design, weighted by the cell counts: the saturated rows are
+cell rows of the design, weighted by the cell counts, and reads the data
+only through its ``core.CellMoments``, which the kernel ``_wls`` takes
+whole (``ols_fit`` passes each unit as its own cell): the saturated rows are
 square and inverted in closed form as a Kronecker product; any other model
 takes its coefficient map from one singular value decomposition of its
 included rows, in numpy's LAPACK.  The saturated map A, the design's
@@ -23,7 +25,7 @@ import random
 import numpy as np
 
 from .contrasts import FactorMap, contrast_matrix, effect_map
-from .core import canonical_masks, enumerate_subsets
+from .core import CellMoments, canonical_masks, enumerate_subsets
 from .errors import IdentityViolationError, RankDeficientError
 from .estimation import RANK_RTOL, moment_estimates
 from .weighting import ShiftVector, product_scheme
@@ -142,6 +144,7 @@ class DesignMatrix:
     included_pos: np.ndarray  # positions in the canonical term order
     omitted_pos: np.ndarray  # positions in the canonical term order
     cell: np.ndarray  # (N,) cell index per unit
+    counts: np.ndarray  # (2^K,) units per cell
 
     @property
     def included(self):
@@ -152,7 +155,7 @@ def build_design(data, spec):
     """The model's included cell rows with each unit's cell."""
     if data.spec.K != spec.K:
         raise ValueError("data and model disagree on the number of factors")
-    return DesignMatrix(spec, *_included(spec), data.cell)
+    return DesignMatrix(spec, *_included(spec), data.cell, data.moments.counts)
 
 
 @dataclass(frozen=True)
@@ -232,16 +235,18 @@ def _sandwich(M, v):
     return B @ B.T
 
 
-def _wls(A, rows, counts, means, ss, terms=()):
+def _wls(A, rows, moments, terms=()):
     """Least squares on cell rows with HC0, the kernel of every fit.
 
     ``A`` is the coefficient map of the cell rows x_z, weighted by N_z w_z:
-    the N_z units of cell z share x_z and the per-unit weight w_z, with mean
-    ybar_z and within-cell sum of squares SS_z.  Then beta = A ybar and
+    the N_z units of cell z share x_z and the per-unit weight w_z, and
+    ``moments`` holds their count N_z, mean ybar_z and within-cell sum of
+    squares SS_z (a CellMoments).  Then beta = A ybar and
     HC0 = A diag(RSS_z / N_z^2) A^T with RSS_z = SS_z + N_z (ybar_z -
     x_z^T beta)^2; column z of A is N_z w_z (X^T W X)^{-1} x_z, so the
     weights cancel, and an empty cell contributes nothing.
     """
+    counts, means, ss = moments
     beta = A @ means
     rss = ss + counts * (means - rows @ beta) ** 2
     cov = _sandwich(A, rss / np.maximum(counts, 1) ** 2)
@@ -250,7 +255,7 @@ def _wls(A, rows, counts, means, ss, terms=()):
 
 def ols_fit(X, y):
     """Plain least squares with HC0 on an explicit design matrix, each row its own cell."""
-    return _wls(_coef_map(X, 1.0), X, 1.0, np.asarray(y, dtype=np.float64), 0.0)
+    return _wls(_coef_map(X, 1.0), X, CellMoments(1.0, np.asarray(y, dtype=np.float64), 0.0))
 
 
 def treatment_based_fit(data):
@@ -323,6 +328,8 @@ def saturated_fit(data, delta, covariance=False):
     RankDeficientError.
     """
     delta = _shift_vector(delta)
+    if data.spec.K != delta.K:
+        raise ValueError("data and model disagree on the number of factors")
     K, shifts = delta.K, delta.delta
     counts, means, ss = data.moments
     _check_saturated(counts)
@@ -364,14 +371,13 @@ def saturated_fit(data, delta, covariance=False):
 
 def _included_fit(data, spec, cell_weights):
     """HC0 least squares on the model's included cell rows, cell z weighted by cell_weights[z]."""
-    counts, means, ss = data.moments
     rows = build_design(data, spec).included_rows
-    return _wls(_coef_map(rows, cell_weights), rows, counts, means, ss, spec.terms)
+    return _wls(_coef_map(rows, cell_weights), rows, data.moments, spec.terms)
 
 
 def unsaturated_fit(data, spec):
     """Least squares on the included terms only, with HC0."""
-    return _included_fit(data, spec, data.moments[0])
+    return _included_fit(data, spec, data.moments.counts)
 
 
 def wls_fit(data, spec):
@@ -379,7 +385,7 @@ def wls_fit(data, spec):
 
     HC0 is the weighted sandwich.
     """
-    counts = data.moments[0]
+    counts = data.moments.counts
     # the cell weight N_z w_z is one for every nonempty cell
     return _included_fit(data, spec, counts / np.maximum(counts, 1))
 
@@ -407,9 +413,8 @@ def omitted_algebra(design):
     if design.omitted_pos.size == 0:
         raise ValueError("model is saturated; nothing is omitted")
     K = design.spec.K
-    counts = np.bincount(design.cell, minlength=2 ** K)
     omitted = _cell_rows(design.spec.delta.delta, _term_order(K)[1 + design.omitted_pos])
-    phi = _coef_map(design.included_rows, counts) @ omitted
+    phi = _coef_map(design.included_rows, design.counts) @ omitted
     return OmittedTermAlgebra(phi, phi[1:, :])
 
 
@@ -435,7 +440,7 @@ def unsaturated_moment_map(data, spec):
     """
     if data.spec.K != spec.K:
         raise ValueError("data and model disagree on the number of factors")
-    return _unsaturated_maps(spec, np.bincount(data.cell, minlength=2 ** spec.K))[2]
+    return _unsaturated_maps(spec, data.moments.counts)[2]
 
 
 def verify_omitted_relation(data, spec):
@@ -459,14 +464,14 @@ def verify_omitted_relation(data, spec):
     design = build_design(data, spec)
     if design.omitted_pos.size == 0:
         raise ValueError("model is saturated; nothing is omitted")
-    counts, means, ss = data.moments
+    counts, means, _ = data.moments
     _check_saturated(counts)
     shifts = spec.delta.delta
     order = _term_order(spec.K)
     gamma = FactorMap(_inverse_factors(shifts), order[1:])(means)
     rows = design.included_rows
     A_plus = _coef_map(rows, counts)
-    uns_fit = _wls(A_plus, rows, counts, means, ss, spec.terms)
+    uns_fit = _wls(A_plus, rows, data.moments, spec.terms)
     gamma_plus, gamma_minus = gamma[design.included_pos], gamma[design.omitted_pos]
     # X^T restricted to the intercept and the omitted columns
     X_t = FactorMap([F.T for F in _row_factors(shifts)], order[np.r_[0, 1 + design.omitted_pos]])

@@ -74,13 +74,21 @@ class PotentialOutcomeTable:
         return centered.T @ centered / (self.N - 1)
 
     def to_csv(self, path):
+        """Write a header line of cell labels, then one row per unit, as plain text."""
         cells = enumerate_treatments(self.K)
         header = ",".join("".join(map(str, z)) for z in cells)
-        np.savetxt(path, self.values, delimiter=",", header=header, comments="")
+        with open(path, "w") as fh:
+            np.savetxt(fh, self.values, delimiter=",", header=header, comments="")
 
     @classmethod
     def from_csv(cls, path):
-        return cls(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2))
+        """Read a table written by ``to_csv``.
+
+        The file is opened as a local plain-text file whatever its name:
+        numpy never takes the name for a URL and never decompresses it.
+        """
+        with open(path) as fh:
+            return cls(np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2))
 
 
 @dataclass(frozen=True)
@@ -230,10 +238,10 @@ def _block_evaluator(table, sizes, estimator):
 
         def moments(cells):
             nonlocal total
-            counts, means, ss = _cell_moments(cells, table.values[units, cells], table.Q)
-            v = ss / (counts - 1) / counts
+            m = _cell_moments(cells, table.values[units, cells], table.Q)
+            v = m.v_hat
             total = np.vstack((total, v)).cumsum(axis=0)[-1]
-            return np.hstack((means, v)), 0, total
+            return np.hstack((m.means, v)), 0, total
 
         def estimate(rows):
             means, v = np.hsplit(rows, 2)
@@ -407,8 +415,9 @@ def monte_carlo(table, sizes, estimator, reps, seed, truth=None, alpha=0.05, wor
     * a (P, Q) matrix M, the moment estimator M Yhat of the cell means with
       the conservative covariance M diag(Vhat) M^T, Vhat_z = SS_z / (N_z - 1)
       / N_z.  It is evaluated on a whole block of assignments from one
-      cell-moment pass and cannot fail (every cell holds at least two
-      units); ``mean_estimated_cov`` is M diag(mean Vhat) M^T, formed once.
+      cell-moment pass, whose ``CellMoments.v_hat`` gives every Vhat, and
+      cannot fail (every cell holds at least two units);
+      ``mean_estimated_cov`` is M diag(mean Vhat) M^T, formed once.
     * a callable mapping an AssignmentTable to a flat vector or a pair
       ``(estimate, covariance)``, applied to ``observe`` of each assignment.
       A replicate on which it raises a package error is counted in

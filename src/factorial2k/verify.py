@@ -104,7 +104,7 @@ def run_identity_suite(K=3, seed=0, balanced=False, delta=None):
 
     # additive-fit effective weights on 2x2
     add_fit = unsaturated_fit(d22, additive_spec(rng.uniform(0.0, 1.0, 2)))
-    e_z = np.bincount(d22.cell, minlength=4) / d22.N
+    e_z = d22.moments.proportions
     pi_first, pi_second = effective_additive_weights(e_z)
     tau_a = np.array([conditional_effect_row((0,), (b,), 2) @ e22.y_hat for b in (0, 1)])
     tau_b = np.array([conditional_effect_row((1,), (a,), 2) @ e22.y_hat for a in (0, 1)])
@@ -119,7 +119,7 @@ def run_identity_suite(K=3, seed=0, balanced=False, delta=None):
     spec23 = ModelSpec(delta3, tuple(t for t in enumerate_subsets(3) if len(t) <= 2))
     design23 = build_design(d23, spec23)
     d_vec = omitted_algebra(design23).d.ravel()
-    e3 = np.bincount(d23.cell, minlength=8) / d23.N
+    e3 = d23.moments.proportions
     records["two_way_closed_form_map"] = _record(
         rel_err(d_vec, closed_form_two_way_omitted_map(e3, delta3))
     )

@@ -98,9 +98,9 @@ def equal_scheme(K):
     return WeightingScheme(K, np.full(Q, 1.0 / Q))
 
 
-def empirical_scheme(summary):
-    """Joint weights equal to the observed cell proportions e_z."""
-    return WeightingScheme(summary.spec.K, summary.proportions)
+def empirical_scheme(moments):
+    """Joint weights equal to the observed cell proportions e_z of a CellMoments."""
+    return from_joint(moments.proportions)
 
 
 def product_scheme(delta):

@@ -724,7 +724,7 @@ def plain_csv_2x2(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("model", [[], ["--model", "A,B"]])
+@pytest.mark.parametrize("model", [[], ["--model", "A,B"], ["--scheme", "empirical"]])
 def test_analyze_computes_cell_moments_once(plain_csv_2x2, tmp_path, monkeypatch, model):
     passes = spy_calls(monkeypatch, "core", "_cell_moments")
     code, payload = run_cli(

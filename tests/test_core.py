@@ -7,6 +7,7 @@ import pytest
 
 from factorial2k import (
     AssignmentTable,
+    CellMoments,
     FactorSpec,
     cell_index,
     cell_summary,
@@ -14,6 +15,7 @@ from factorial2k import (
     enumerate_subsets,
     enumerate_treatments,
     ingest_csv,
+    moment_estimates,
 )
 import factorial2k
 from factorial2k import core
@@ -85,9 +87,9 @@ def test_cell_summary_direct_arithmetic(balanced_2x2):
     assert np.array_equal(s.counts, [2, 2, 2, 2])
     # cell (00) outcomes {1,3}: mean 2, unbiased variance 2
     assert s.means[0] == 2.0
-    assert s.variances[0] == 2.0
+    assert (s.ss / (s.counts - 1))[0] == 2.0
     np.testing.assert_allclose(s.means, [2.0, 3.0, 6.0, 8.0])
-    np.testing.assert_allclose(s.variances, [2.0, 2.0, 2.0, 8.0])
+    np.testing.assert_allclose(s.ss / (s.counts - 1), [2.0, 2.0, 2.0, 8.0])
 
 
 def test_cell_summary_constant_data():
@@ -96,7 +98,7 @@ def test_cell_summary_constant_data():
     data = AssignmentTable(spec, levels, np.full(8, 7.5))
     s = cell_summary(data)
     assert np.all(s.means == 7.5)
-    assert np.all(s.variances == 0.0)
+    assert np.all(s.ss / (s.counts - 1) == 0.0)
 
 
 def test_cell_summary_weighted_mean_identity(balanced_2x2):
@@ -190,7 +192,17 @@ def test_cell_summary_matches_mask_loop(offset):
         y = data.outcome[data.cell == q]
         assert s.counts[q] == y.size
         assert abs(s.means[q] - y.mean()) <= 1e-14 * abs(y.mean()) + 1e-14
-        assert abs(s.variances[q] - y.var(ddof=1)) <= 1e-12 * y.var(ddof=1)
+        assert abs((s.ss / (s.counts - 1))[q] - y.var(ddof=1)) <= 1e-12 * y.var(ddof=1)
+
+
+def test_cell_summary_returns_the_cached_moments(balanced_2x2):
+    # one read-only object, no copy: the checks pass it through
+    s = cell_summary(balanced_2x2)
+    assert isinstance(s, CellMoments)
+    assert s is balanced_2x2.moments is moment_estimates(balanced_2x2)
+    assert not any(a.flags.writeable for a in s)
+    np.testing.assert_array_equal(s.y_hat, s.means)
+    np.testing.assert_array_equal(s.proportions, [0.25] * 4)
 
 
 def test_cell_moments_block_equals_stacked_rows():

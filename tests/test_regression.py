@@ -149,8 +149,7 @@ def test_saturated_kronecker_map_matches_qr_oracle(K):
     delta = rng.uniform(0, 1, K)
     delta[::3], delta[1::3] = 0.0, 1.0
     rows = dense_cell_rows(delta)
-    counts, means, ss = data.moments
-    oracle = _wls(_coef_map(rows, counts), rows, counts, means, ss)
+    oracle = _wls(_coef_map(rows, data.moments.counts), rows, data.moments)
     fit, _ = saturated_fit(data, delta)
     assert rel_err(fit.coefficients, oracle.coefficients) <= 1e-12
     assert rel_err(fit.robust_cov, oracle.robust_cov) <= 1e-12
@@ -371,7 +370,7 @@ def test_coefficient_map_hc0_matches_unit_sandwich(layout, weighting):
     counts, means, ss = data.moments
     unit_w = np.ones(8) if weighting == "ols" else 1.0 / np.maximum(counts, 1)
     A = _coef_map(X, counts * unit_w)
-    fit = _wls(A, X, counts, means, ss)
+    fit = _wls(A, X, data.moments)
     rss = ss + counts * (means - X @ (A @ means)) ** 2
     with np.errstate(invalid="ignore", divide="ignore"):
         hc0 = A @ np.diag(np.where(counts > 0, rss / counts ** 2, 0.0)) @ A.T
@@ -570,6 +569,25 @@ def test_model_spec_validation():
     spec = ModelSpec(np.array([0.5, 0.5]), ((0, 1), (0,), (1,)))
     assert spec.terms == ((0,), (1,), (0, 1))
     assert spec.saturated
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda data, shifts: saturated_fit(data, shifts),
+        lambda data, shifts: build_design(data, additive_spec(shifts)),
+        lambda data, shifts: unsaturated_fit(data, additive_spec(shifts)),
+        lambda data, shifts: wls_fit(data, additive_spec(shifts)),
+        lambda data, shifts: verify_omitted_relation(data, additive_spec(shifts)),
+        lambda data, shifts: regression.unsaturated_moment_map(data, additive_spec(shifts)),
+    ],
+    ids=["saturated_fit", "build_design", "unsaturated_fit", "wls_fit",
+         "verify_omitted_relation", "unsaturated_moment_map"],
+)
+def test_model_with_other_factor_count_is_rejected(fit):
+    data = random_dataset(3, np.random.default_rng(58))
+    with pytest.raises(ValueError, match="^data and model disagree on the number of factors$"):
+        fit(data, [0.5, 0.5])
 
 
 def _saturated_data(K, seed, low=2):

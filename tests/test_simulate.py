@@ -1,3 +1,4 @@
+import gzip
 import itertools
 import time
 
@@ -29,7 +30,9 @@ from factorial2k.errors import (
     Factorial2kError,
     TooManyAssignmentsError,
 )
+from factorial2k.cli import EXIT_VALIDATION, main
 from factorial2k.contrasts import contrast_matrix
+from factorial2k.core import CellMoments, _cell_moments
 from factorial2k import regression, simulate
 from factorial2k.simulate import (
     BLOCK_ELEMENTS,
@@ -339,11 +342,65 @@ def test_sim_report_roundtrip(small_population):
     assert len(d["est_mean"]) == 4
 
 
+def test_block_cell_moments_are_each_assignments_moment_estimates():
+    # simulate's Vhat and proportions on a (B, N) block, row by row, bit for bit
+    sizes = DesignSizes(np.array([2, 3, 2, 4]))
+    rng = np.random.default_rng(63)
+    table = PotentialOutcomeTable(1e4 + rng.normal(0.0, 1.0, size=(sizes.N, sizes.Q)))
+    cells = np.array([draw_assignment(sizes, rng) for _ in range(25)])
+    block = _cell_moments(cells, table.values[np.arange(sizes.N), cells], sizes.Q)
+    assert isinstance(block, CellMoments)
+    assert block.v_hat.shape == block.proportions.shape == (25, 4)
+    for b, row in enumerate(cells):
+        est = moment_estimates(observe(table, row))
+        assert block.v_hat[b].tobytes() == est.v_hat.tobytes()
+        assert block.proportions[b].tobytes() == est.proportions.tobytes()
+        assert block.y_hat[b].tobytes() == est.y_hat.tobytes()
+
+
 def test_population_csv_roundtrip(tmp_path, small_population):
     path = tmp_path / "pop.csv"
     small_population.to_csv(path)
     back = PotentialOutcomeTable.from_csv(path)
     np.testing.assert_allclose(back.values, small_population.values)
+
+
+def test_population_csv_with_url_like_relative_name_is_read_as_a_file(
+    tmp_path, monkeypatch, small_population
+):
+    def no_network(*args, **kwargs):
+        raise AssertionError("opened a URL")
+
+    import urllib.request
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_network)
+    (tmp_path / "http:" / "x").mkdir(parents=True)
+    small_population.to_csv(tmp_path / "http:" / "x" / "p.csv")
+    monkeypatch.chdir(tmp_path)
+    back = PotentialOutcomeTable.from_csv("http://x/p.csv")
+    np.testing.assert_array_equal(back.values, small_population.values)
+
+
+def test_population_csv_named_gz_is_plain_text(tmp_path, small_population):
+    # the name is never a reason to compress or decompress
+    plain, named = tmp_path / "p.csv", tmp_path / "p.csv.gz"
+    small_population.to_csv(plain)
+    small_population.to_csv(named)
+    assert named.read_bytes() == plain.read_bytes()
+    back = PotentialOutcomeTable.from_csv(named)
+    np.testing.assert_array_equal(back.values, PotentialOutcomeTable.from_csv(plain).values)
+
+
+def test_simulate_rejects_gzip_population_without_traceback(tmp_path, capsys, small_population):
+    plain = tmp_path / "p.csv"
+    small_population.to_csv(plain)
+    packed = tmp_path / "p.csv.gz"
+    packed.write_bytes(gzip.compress(plain.read_bytes()))
+    argv = ["simulate", "--population", str(packed), "--sizes", "2,2,2,2", "--exact"]
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_population_rejects_non_finite_outcomes():
