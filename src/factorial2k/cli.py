@@ -19,7 +19,14 @@ import numpy as np
 
 from . import __version__
 from .contrasts import contrast_matrix
-from .core import MAX_FACTORS, cell_summary, ingest_csv, parse_subset_label, FactorSpec
+from .core import (
+    MAX_COVARIANCE_FACTORS,
+    MAX_FACTORS,
+    FactorSpec,
+    cell_summary,
+    ingest_csv,
+    parse_subset_label,
+)
 from .errors import (
     Factorial2kError,
     IdentityViolationError,
@@ -90,6 +97,10 @@ def cmd_analyze(args):
     if not args.factors:
         raise ParseError("--factors is required for analyze")
     spec = FactorSpec(tuple(args.factors.split(",")))
+    if args.covariance and spec.K > MAX_COVARIANCE_FACTORS:
+        raise ParseError(
+            f"--covariance supports at most {MAX_COVARIANCE_FACTORS} factors, got {spec.K}"
+        )
     data = ingest_csv(args.input, spec, outcome_col=args.outcome_col)
     scheme = resolve_scheme(args.scheme, cell_summary(data), spec.K)
 

@@ -30,9 +30,11 @@ import numpy as np
 from .errors import DimensionMismatchError, EmptyCellError, ParseError, SingletonCellError
 
 # analyze runs on per-factor transforms of 3^K entries (4 MiB at K=12); the dense contrast
-# matrix of --covariance, simulate and verify takes 128 MiB at K=12 (32 GiB at K=16), and
-# analyze --covariance at K=12 took 43-45 s, 3.9-4.1 GB peak RSS and wrote 768 MB of JSON
+# matrix of --covariance, simulate and verify takes 128 MiB at K=12 (32 GiB at K=16)
 MAX_FACTORS = 12
+# analyze --covariance writes two Q x Q matrices as JSON: at K=10 it took 1.7 s, 302 MB
+# peak RSS and wrote 48 MB; at K=12, 43-45 s, 3.9-4.1 GB and 768 MB
+MAX_COVARIANCE_FACTORS = 10
 # bytes per read when checking that a CSV file is plain
 READ_CHUNK = 1 << 20
 # names that np.loadtxt would open through a decompressor
@@ -185,7 +187,8 @@ class CellMoments(NamedTuple):
     """Per-cell counts N_z, means Ybar_z and within-cell sums of squares SS_z.
 
     Each field has shape (Q,) for one table, or (B, Q) for a block of B
-    assignments, one row each.
+    assignments, one row each.  ``ss`` is None when the pass stopped after
+    the means.
     """
 
     counts: np.ndarray
@@ -208,13 +211,15 @@ class CellMoments(NamedTuple):
         return self.counts / self.counts.sum(axis=-1, keepdims=True)
 
 
-def _cell_moments(cells, outcomes, Q):
+def _cell_moments(cells, outcomes, Q, means_only=False):
     """CellMoments of each row of assignments; zeros for an empty cell.
 
     ``cells`` (indices in 0..Q-1) and ``outcomes`` have shape (N,) for one
     table or (B, N) for a block of B assignments; the fields have shape
     (Q,) or (B, Q).  Row b of a block uses bins b*Q .. b*Q + Q - 1 of one
     bincount, so each row's sums run in unit order, as for that row alone.
+    With ``means_only`` the pass stops after the means, with two bincounts
+    and no deviations, and ``ss`` is None, so ``v_hat`` cannot be read.
     """
     cells = np.asarray(cells)
     rows = 1 if cells.ndim == 1 else cells.shape[0]
@@ -223,6 +228,8 @@ def _cell_moments(cells, outcomes, Q):
     y = np.asarray(outcomes, dtype=np.float64).ravel()
     counts = np.bincount(flat, minlength=rows * Q)
     means = np.bincount(flat, weights=y, minlength=rows * Q) / np.maximum(counts, 1)
+    if means_only:
+        return CellMoments(counts.reshape(shape), means.reshape(shape), None)
     deviation = y - means[flat]
     ss = np.bincount(flat, weights=deviation ** 2, minlength=rows * Q)
     return CellMoments(counts.reshape(shape), means.reshape(shape), ss.reshape(shape))

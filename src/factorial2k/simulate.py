@@ -32,7 +32,8 @@ ENUMERATION_GUARD = 10 ** 7
 BLOCK_ELEMENTS = 2 ** 20
 # bound on the entries of one chunk of rows of per-assignment statistics that
 # is estimated and reduced at once; a chunk's row count depends on the row
-# width alone, so the arithmetic is the same for any BLOCK_ELEMENTS
+# width alone (with variances, see _drive), so the arithmetic is the same for
+# any BLOCK_ELEMENTS
 REDUCE_ELEMENTS = 2 ** 20
 
 
@@ -82,13 +83,25 @@ class PotentialOutcomeTable:
 
     @classmethod
     def from_csv(cls, path):
-        """Read a table written by ``to_csv``.
+        """Read a table written by ``to_csv``, its columns in any order.
 
-        The file is opened as a local plain-text file whatever its name:
-        numpy never takes the name for a URL and never decompresses it.
+        The header must name each of the 2^K cell labels that ``to_csv``
+        writes (``00``, ``01``, ... for K=2) exactly once, one per column;
+        the columns are put in binary-counting order.  Any other header
+        raises ValueError.  The file is opened as a local plain-text file
+        whatever its name: numpy never takes the name for a URL and never
+        decompresses it.
         """
         with open(path) as fh:
-            return cls(np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2))
+            labels = fh.readline().rstrip("\n").split(",")
+            table = cls(np.loadtxt(fh, delimiter=",", ndmin=2))
+        expected = ["".join(map(str, z)) for z in enumerate_treatments(table.K)]
+        if sorted(labels) != expected:
+            raise ValueError(
+                f"population header {','.join(labels)!r} must name each of the "
+                f"{table.Q} cells {','.join(expected)} exactly once"
+            )
+        return cls(table.values[:, [labels.index(label) for label in expected]])
 
 
 @dataclass(frozen=True)
@@ -152,9 +165,12 @@ def _ranked(sizes, count, ranks):
     prefixes are counted, in Python ints: of the c assignments sharing a
     prefix with m positions to fill, c * n_v / m put cell v next.  The rows
     are read off the kept cells and parent pointers by one backtracking
-    gather per position.
+    ``take`` per position.  The cells left to each prefix are int16: under
+    ENUMERATION_GUARD no cell holds more than 4470 units.
     """
-    left = sizes.sizes[None, :]
+    left = sizes.sizes[None, :].astype(np.int16)
+    # row v takes one unit from cell v
+    step = -np.eye(sizes.Q, dtype=np.int16)
     # the prefixes holding the first and the last rank: [cells left, count, offset]
     ends = [[sizes.sizes.tolist(), count, rank] for rank in (ranks[0], ranks[-1])]
     levels = []
@@ -175,14 +191,14 @@ def _ranked(sizes, count, ranks):
         keep = slice(cut[0][0], len(cell) - cut[1][1])
         parent, cell = parent[keep], cell[keep]
         left = left[parent]
-        left[np.arange(len(parent)), cell] -= 1
+        left += step[cell]
         levels.append((parent, cell))
     out = np.empty((len(ranks), sizes.N), dtype=np.int64)
     row = np.arange(len(ranks))
     for pos in range(sizes.N - 1, -1, -1):
         parent, cell = levels[pos]
-        out[:, pos] = cell[row]
-        row = parent[row]
+        out[:, pos] = cell.take(row)
+        row = parent.take(row)
     return out
 
 
@@ -209,7 +225,7 @@ def enumerate_assignments(sizes):
     return (row for block in _enumeration(sizes) for row in block)
 
 
-def _block_evaluator(table, sizes, estimator):
+def _block_evaluator(table, sizes, estimator, variances=True):
     """Map blocks of cell assignments to estimates, in two stages.
 
     Returns ``(evaluate, estimate, sandwich)``.  ``evaluate(cells)`` maps a
@@ -225,6 +241,11 @@ def _block_evaluator(table, sizes, estimator):
     were cut into blocks.  ``sandwich`` maps the mean part to the mean
     estimated covariance: for a matrix M the part is the Q-vector Vhat, so
     M diag(.) M^T is formed once per run, not once per block.
+
+    Without ``variances`` a row holds the estimate's inputs alone (for a
+    matrix M, the cell means from a means-only pass: no SS_z, no Vhat),
+    ``estimate`` gives None for the variances, the total is None and
+    ``sandwich`` is None.  Outcomes are gathered by one flat ``take``.
     """
     if table.values.shape != (sizes.N, sizes.Q):
         raise ValueError(
@@ -233,12 +254,24 @@ def _block_evaluator(table, sizes, estimator):
         )
     if not callable(estimator):
         M = np.asarray(estimator, dtype=np.float64)
-        units = np.arange(table.N)
-        total = np.zeros(table.Q)
+        flat = table.values.ravel()
+        offsets = np.arange(table.N) * table.Q
 
         def moments(cells):
+            y = flat.take(cells + offsets)
+            return _cell_moments(cells, y, table.Q, means_only=not variances)
+
+        if not variances:
+            return (
+                lambda cells: (moments(cells).means, 0, None),
+                lambda means: (means @ M.T, None),
+                None,
+            )
+        total = np.zeros(table.Q)
+
+        def with_vhat(cells):
             nonlocal total
-            m = _cell_moments(cells, table.values[units, cells], table.Q)
+            m = moments(cells)
             v = m.v_hat
             total = np.vstack((total, v)).cumsum(axis=0)[-1]
             return np.hstack((m.means, v)), 0, total
@@ -247,13 +280,13 @@ def _block_evaluator(table, sizes, estimator):
             means, v = np.hsplit(rows, 2)
             return means @ M.T, v @ (M * M).T
 
-        return moments, estimate, lambda v: (M * v) @ M.T
+        return with_vhat, estimate, lambda v: (M * v) @ M.T
 
     total = 0.0
 
     def per_table(cells):
         nonlocal total
-        estimates, variances, failures = [], [], 0
+        estimates, diagonals, failures = [], [], 0
         for row in cells:
             try:
                 out = estimator(observe(table, row))
@@ -263,25 +296,32 @@ def _block_evaluator(table, sizes, estimator):
             if isinstance(out, tuple):
                 out, cov = out
                 cov = np.asarray(cov, dtype=np.float64)
-                variances.append(np.diag(cov))
+                diagonals.append(np.diag(cov))
                 total = total + cov
             estimates.append(np.asarray(out, dtype=np.float64).ravel())
         if not estimates:
             return np.empty((0, 0)), failures, None
         est = np.array(estimates)
-        if len(variances) == len(estimates):
-            return np.hstack((est, variances)), failures, total
+        if not variances:
+            return est, failures, None
+        if len(diagonals) == len(estimates):
+            return np.hstack((est, diagonals)), failures, total
         return np.hstack((est, np.full_like(est, np.nan))), failures, None
 
+    if not variances:
+        return per_table, lambda rows: (rows, None), None
     return per_table, lambda rows: np.hsplit(rows, 2), lambda cov: cov
 
 
-def _drive(blocks, evaluate, estimate, truth=None, alpha=0.05):
+def _drive(blocks, evaluate, estimate, truth=None, alpha=0.05, variances=True):
     """Evaluate blocks of assignments in order and reduce them in replicate order.
 
     The rows of the blocks are regrouped into chunks of
     REDUCE_ELEMENTS // width rows, counted from the first row whatever the
-    blocks, and each chunk is estimated and reduced in turn.  Means and
+    blocks, and each chunk is estimated and reduced in turn.  Rows of an
+    evaluator built without ``variances`` hold only the first half of the
+    rows built with them, and count at twice their width: a chunk holds the
+    same assignments either way, so the reports agree bit for bit.  Means and
     covariances accumulate deviations from the first estimate, which keeps
     them exact under a large common offset.  Returns ``(n, failures, mean,
     cov, mean_part, coverage)``, with ``mean_part`` the evaluator's
@@ -302,7 +342,7 @@ def _drive(blocks, evaluate, estimate, truth=None, alpha=0.05):
             n += len(rows)
             have_cov, cov_total = have_cov and total is not None, total
             held = rows if held is None else np.concatenate((held, rows))
-            step = max(1, REDUCE_ELEMENTS // rows.shape[1])
+            step = max(1, REDUCE_ELEMENTS // (rows.shape[1] * (1 if variances else 2)))
             cut = len(held) - len(held) % step
             for lo in range(0, cut, step):
                 yield held[lo:lo + step]
@@ -340,15 +380,16 @@ def exact_expectations(table, sizes, estimator):
     Assignments are enumerated in lexicographic order, in the fixed rank
     ranges Monte Carlo cuts its replicate numbers into, each block grown
     from the prefix tree of the assignments: M is applied to a whole
-    block's cell means from one cell-moment pass, a callable to ``observe``
-    of each assignment.  Above ENUMERATION_GUARD assignments, decided
-    before any N! is formed, it raises TooManyAssignmentsError.  A
+    block's cell means from one means-only pass of ``core._cell_moments``
+    (no SS_z and no Vhat, which the result does not use), a callable to
+    ``observe`` of each assignment.  Above ENUMERATION_GUARD assignments,
+    decided before any N! is formed, it raises TooManyAssignmentsError.  A
     callable's package errors are counted and reported via
     EstimatorFailureError: exact moments conditioned on success would not
     be exact.  (M Yhat cannot fail: each cell holds >= 2 units.)
     """
-    evaluate, estimate, _ = _block_evaluator(table, sizes, estimator)
-    n, failures, mean, cov, _, _ = _drive(_enumeration(sizes), evaluate, estimate)
+    evaluate, estimate, _ = _block_evaluator(table, sizes, estimator, variances=False)
+    n, failures, mean, cov, _, _ = _drive(_enumeration(sizes), evaluate, estimate, variances=False)
     if failures:
         raise EstimatorFailureError(
             f"estimator failed on {failures} of {n + failures} assignments", failures

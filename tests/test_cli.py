@@ -26,7 +26,13 @@ from factorial2k.cli import (
     main,
     resolve_scheme,
 )
-from factorial2k.core import MAX_FACTORS, FactorSpec, cell_summary, parse_subset_label
+from factorial2k.core import (
+    MAX_COVARIANCE_FACTORS,
+    MAX_FACTORS,
+    FactorSpec,
+    cell_summary,
+    parse_subset_label,
+)
 from factorial2k.errors import ParseError
 from factorial2k.regression import ModelSpec, rel_err, saturated_fit, verify_omitted_relation
 from factorial2k.simulate import DesignSizes
@@ -233,6 +239,23 @@ def test_analyze_rejects_too_many_factors(csv_2x2, tmp_path, monkeypatch, capsys
     assert code == EXIT_VALIDATION
     assert "at most 12" in capsys.readouterr().err
     assert builds == []
+
+
+@pytest.mark.parametrize("K", [MAX_COVARIANCE_FACTORS + 1, MAX_FACTORS])
+def test_analyze_covariance_rejected_above_its_factor_limit(tmp_path, monkeypatch, capsys, K):
+    # two 2^K x 2^K matrices of JSON: refused before the input is read
+    ingests = spy_calls(monkeypatch, "core", "ingest_csv")
+    labels = ",".join(f"F{k}" for k in range(K))
+    argv = ["analyze", "--input", str(tmp_path / "absent.csv"), "--factors", labels]
+    code, payload = run_cli([*argv, "--covariance"], tmp_path)
+    assert (code, payload) == (EXIT_VALIDATION, None)
+    err = capsys.readouterr().err
+    limit = MAX_COVARIANCE_FACTORS
+    assert err == f"error: --covariance supports at most {limit} factors, got {K}\n"
+    assert ingests == []
+    # without the flag the same request reaches ingest
+    assert run_cli(argv, tmp_path)[0] == EXIT_VALIDATION
+    assert len(ingests) == 1
 
 
 def test_analyze_missing_factors(csv_2x2, tmp_path):

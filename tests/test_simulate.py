@@ -1,5 +1,6 @@
 import gzip
 import itertools
+import json
 import time
 
 import numpy as np
@@ -30,7 +31,7 @@ from factorial2k.errors import (
     Factorial2kError,
     TooManyAssignmentsError,
 )
-from factorial2k.cli import EXIT_VALIDATION, main
+from factorial2k.cli import EXIT_OK, EXIT_VALIDATION, main
 from factorial2k.contrasts import contrast_matrix
 from factorial2k.core import CellMoments, _cell_moments
 from factorial2k import regression, simulate
@@ -365,6 +366,49 @@ def test_population_csv_roundtrip(tmp_path, small_population):
     np.testing.assert_allclose(back.values, small_population.values)
 
 
+def _write_population(path, header, values):
+    np.savetxt(path, values, delimiter=",", header=header, comments="")
+    return str(path)
+
+
+@pytest.mark.parametrize("order", [[3, 2, 1, 0], [2, 0, 3, 1]])
+def test_population_csv_columns_follow_the_header(tmp_path, small_population, order):
+    canonical = tmp_path / "pop.csv"
+    small_population.to_csv(canonical)
+    labels = ["00", "01", "10", "11"]
+    moved = _write_population(
+        tmp_path / "moved.csv",
+        ",".join(labels[i] for i in order),
+        small_population.values[:, order],
+    )
+    back = PotentialOutcomeTable.from_csv(moved)
+    assert back.values.tobytes() == PotentialOutcomeTable.from_csv(canonical).values.tobytes()
+    reports = []
+    for path in (canonical, moved):
+        out = tmp_path / "out.json"
+        argv = ["simulate", "--population", str(path), "--sizes", "2,2,2,2", "--exact"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        reports.append(json.loads(out.read_text())["report"])
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["foo", "00,00,10,11", "00,01,10", "00,01,10,11,00", "0,1,10,11", "00,01,10,11 ", "A,B,C,D"],
+)
+def test_simulate_rejects_population_header_without_each_cell_once(
+    tmp_path, capsys, small_population, header
+):
+    path = _write_population(tmp_path / "pop.csv", header, small_population.values)
+    with pytest.raises(ValueError, match="must name each of the 4 cells 00,01,10,11 exactly once"):
+        PotentialOutcomeTable.from_csv(path)
+    argv = ["simulate", "--population", path, "--sizes", "2,2,2,2", "--exact"]
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: population header") and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_population_csv_with_url_like_relative_name_is_read_as_a_file(
     tmp_path, monkeypatch, small_population
 ):
@@ -596,6 +640,65 @@ def test_reports_identical_for_any_block_size(K, reps, chunk_rows, monkeypatch):
             )
         assert reports[0] == reports[1] == reports[2]
         assert reports[0]["coverage"] is not None
+
+
+@pytest.mark.parametrize("sizes", [(3, 4), (2, 2, 2, 2)])
+@pytest.mark.parametrize("chunk_rows", [None, 7])
+def test_exact_reports_identical_for_any_block_size(sizes, chunk_rows, monkeypatch):
+    # blocks of 1, 5 and 2^20 / N assignments; chunks of the default size or
+    # of 7 rows, which straddle the blocks.  A chunk holds REDUCE_ELEMENTS //
+    # (2Q) assignments, as when each row carried Vhat beside the cell means
+    sizes = DesignSizes(np.array(sizes))
+    count = sizes.assignment_count()
+    rng = np.random.default_rng(92)
+    table = PotentialOutcomeTable(rng.normal(3.0, 1.0, size=(sizes.N, sizes.Q)))
+    K = sizes.Q.bit_length() - 1
+    G = contrast_matrix(equal_scheme(K), K).matrix
+    if chunk_rows:
+        monkeypatch.setattr(simulate, "REDUCE_ELEMENTS", chunk_rows * 2 * sizes.Q)
+    step = simulate.REDUCE_ELEMENTS // (2 * sizes.Q)
+    chunks = []
+    evaluator = simulate._block_evaluator
+
+    def recording(*args, **kwargs):
+        evaluate, estimate, sandwich = evaluator(*args, **kwargs)
+
+        def chunk(rows):
+            chunks.append(len(rows))
+            return estimate(rows)
+
+        return evaluate, chunk, sandwich
+
+    monkeypatch.setattr(simulate, "_block_evaluator", recording)
+    results = []
+    for elements in (sizes.N, 5 * sizes.N, 2 ** 20):
+        monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", elements)
+        chunks.clear()
+        results.append([a.tobytes() for a in exact_expectations(table, sizes, G)])
+        assert chunks == [step] * (count // step) + [count % step] * (count % step > 0)
+    assert results[0] == results[1] == results[2]
+
+
+def test_exact_matrix_forms_no_ss_or_vhat(small_population, monkeypatch):
+    # exact moments of M Yhat need each assignment's cell means alone;
+    # Monte Carlo still reads every SS_z and Vhat
+    from factorial2k import core
+
+    passes = []
+
+    def spy(*args, **kwargs):
+        passes.append(core._cell_moments(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(simulate, "_cell_moments", spy)
+    reads = []
+    v_hat = CellMoments.v_hat
+    monkeypatch.setattr(CellMoments, "v_hat", property(lambda m: reads.append(m) or v_hat.fget(m)))
+    G = contrast_matrix(equal_scheme(2), 2).matrix
+    exact_expectations(small_population, SIZES_2222, G)
+    assert len(passes) == 1 and passes[0].ss is None and reads == []
+    monte_carlo(small_population, SIZES_2222, G, reps=10, seed=1)
+    assert len(passes) == 2 and passes[1].ss is not None and len(reads) == 1
 
 
 def test_mean_estimated_cov_formed_once_matches_one_block(monkeypatch):
