@@ -217,6 +217,8 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
+    if args.K > MAX_COVARIANCE_FACTORS:
+        raise ParseError(f"verify supports at most {MAX_COVARIANCE_FACTORS} factors, got {args.K}")
     delta = _parse_floats(args.delta, args.K, "--delta") if args.delta is not None else None
     records = run_identity_suite(
         K=args.K,

@@ -33,7 +33,9 @@ from .errors import DimensionMismatchError, EmptyCellError, ParseError, Singleto
 # matrix of --covariance, simulate and verify takes 128 MiB at K=12 (32 GiB at K=16)
 MAX_FACTORS = 12
 # analyze --covariance writes two Q x Q matrices as JSON: at K=10 it took 1.7 s, 302 MB
-# peak RSS and wrote 48 MB; at K=12, 43-45 s, 3.9-4.1 GB and 768 MB
+# peak RSS and wrote 48 MB; at K=12, 43-45 s, 3.9-4.1 GB and 768 MB.  verify fits a dense
+# N x Q treatment-based design: --K 10 took 3.7 s and 271 MB, --K 11 20.6 s and 955 MB
+# (2-vCPU VM, OPENBLAS_NUM_THREADS=1), so verify stops at the same K
 MAX_COVARIANCE_FACTORS = 10
 # bytes per read when checking that a CSV file is plain
 READ_CHUNK = 1 << 20

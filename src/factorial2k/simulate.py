@@ -5,13 +5,14 @@ complete randomization fixes the cell sizes and draws a uniformly random
 partition of the units; exact design-based moments of any estimator follow
 by enumerating every assignment, and Monte Carlo covers designs too large
 to enumerate.  Both cut an index range (lexicographic ranks or replicate
-numbers) into the same blocks of assignments and reduce them in one driver;
-an exact block holds a fixed range of ranks and is grown from the prefix
-tree of the assignments.
+numbers) into the same fixed chunks, each a run of blocks of assignments,
+and reduce them in one driver; an exact block holds a fixed range of ranks
+and is grown from the prefix tree of the assignments.
 """
 
 from dataclasses import dataclass
 import math
+import warnings
 
 import numpy as np
 
@@ -30,10 +31,10 @@ from .weighting import product_scheme
 ENUMERATION_GUARD = 10 ** 7
 # bound on B * N, the cells of one block of B assignments of N units
 BLOCK_ELEMENTS = 2 ** 20
-# bound on the entries of one chunk of rows of per-assignment statistics that
-# is estimated and reduced at once; a chunk's row count depends on the row
-# width alone (with variances, see _drive), so the arithmetic is the same for
-# any BLOCK_ELEMENTS
+# bound on the entries of one chunk of rows of cell means and Vhat, 2Q per
+# assignment, that is estimated and reduced at once; a chunk is a fixed range
+# of indices with its blocks nested inside (see _chunks), so the arithmetic
+# is the same for any BLOCK_ELEMENTS
 REDUCE_ELEMENTS = 2 ** 20
 
 
@@ -88,13 +89,20 @@ class PotentialOutcomeTable:
         The header must name each of the 2^K cell labels that ``to_csv``
         writes (``00``, ``01``, ... for K=2) exactly once, one per column;
         the columns are put in binary-counting order.  Any other header
-        raises ValueError.  The file is opened as a local plain-text file
-        whatever its name: numpy never takes the name for a URL and never
-        decompresses it.
+        raises ValueError, as does a file with no rows under its header.  One
+        leading UTF-8 byte-order mark is dropped from the header.  The file
+        is opened as a local plain-text file whatever its name: numpy never
+        takes the name for a URL and never decompresses it.
         """
         with open(path) as fh:
-            labels = fh.readline().rstrip("\n").split(",")
-            table = cls(np.loadtxt(fh, delimiter=",", ndmin=2))
+            labels = fh.readline().rstrip("\n").removeprefix("\ufeff").split(",")
+            with warnings.catch_warnings():
+                # a header-only file holds no data; it is rejected below
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if not values.size:
+            raise ValueError("population file has no rows under its header")
+        table = cls(values)
         expected = ["".join(map(str, z)) for z in enumerate_treatments(table.K)]
         if sorted(labels) != expected:
             raise ValueError(
@@ -148,11 +156,25 @@ def draw_assignment(sizes, rng):
     return rng.permutation(base)
 
 
-def _blocks(n, N, make):
-    """``make`` of consecutive ranges covering 0..n-1, each of at most
-    BLOCK_ELEMENTS // N indices (at least one), in order."""
-    rows = max(1, BLOCK_ELEMENTS // N)
-    return (make(range(lo, min(lo + rows, n))) for lo in range(0, n, rows))
+def _chunks(n, N, Q, make):
+    """Chunks of ``make`` blocks covering the indices 0..n-1, in order.
+
+    A chunk is a fixed range of REDUCE_ELEMENTS // (2Q) consecutive indices
+    (replicate numbers or lexicographic ranks; at least one), the unit in
+    which rows are estimated and reduced.  It is given as a generator of
+    ``make(range)`` over consecutive sub-ranges of at most BLOCK_ELEMENTS // N
+    indices (at least one, at most the chunk), so how the assignments are cut
+    into blocks never moves a chunk boundary.  Every cell holds at least two
+    units, so N >= 2Q and at the default constants a block is never cut by
+    its chunk.
+    """
+    step = max(1, REDUCE_ELEMENTS // (2 * Q))
+    rows = max(1, min(step, BLOCK_ELEMENTS // N))
+
+    def blocks(chunk):
+        return (make(chunk[i:i + rows]) for i in range(0, len(chunk), rows))
+
+    return (blocks(range(n)[lo:lo + step]) for lo in range(0, n, step))
 
 
 def _ranked(sizes, count, ranks):
@@ -216,36 +238,36 @@ def _enumeration(sizes):
             f"about 10^{log_count / math.log(10):.1f} assignments exceed the enumeration "
             f"guard of {ENUMERATION_GUARD}; drop --exact to run Monte Carlo"
         )
-    return _blocks(count, sizes.N, lambda ranks: _ranked(sizes, count, ranks))
+    return _chunks(count, sizes.N, sizes.Q, lambda ranks: _ranked(sizes, count, ranks))
 
 
 def enumerate_assignments(sizes):
     """Every distinct assignment once, in lexicographic order: the rows of
     the blocks exact enumeration evaluates; guarded as ``exact_expectations``."""
-    return (row for block in _enumeration(sizes) for row in block)
+    return (row for chunk in _enumeration(sizes) for block in chunk for row in block)
 
 
 def _block_evaluator(table, sizes, estimator, variances=True):
-    """Map blocks of cell assignments to estimates, in two stages.
+    """Map chunks of cell assignments to estimates; returns ``(evaluate, finish)``.
 
-    Returns ``(evaluate, estimate, sandwich)``.  ``evaluate(cells)`` maps a
-    (B, N) block to ``(rows, failures, cov_total)``: one row of statistics
-    per assignment on which the estimator succeeded, in block order, the
-    number on which it raised a package error, and, when the estimator gives
-    covariances, the running total of a covariance part over every
-    assignment evaluated so far (else None).  ``estimate(rows)`` maps rows
-    to the estimates and their variances (NaN without covariances).  Each
-    row is computed from its assignment alone, the total is added one
-    assignment at a time, and ``_drive`` applies ``estimate`` to chunks of
-    a fixed number of rows, so no result depends on how the assignments
-    were cut into blocks.  ``sandwich`` maps the mean part to the mean
-    estimated covariance: for a matrix M the part is the Q-vector Vhat, so
-    M diag(.) M^T is formed once per run, not once per block.
+    ``evaluate(chunk)`` maps a chunk, an iterable of (B, N) blocks, to
+    ``(estimates, variances, parts, failures)`` and keeps no state: one row
+    of estimates and one of their variances per assignment on which the
+    estimator succeeded, in order, the rows of a covariance part the driver
+    sums over the run, and the number of assignments on which the estimator
+    raised a package error.  ``finish`` maps the mean part to the mean
+    estimated covariance.
 
-    Without ``variances`` a row holds the estimate's inputs alone (for a
-    matrix M, the cell means from a means-only pass: no SS_z, no Vhat),
-    ``estimate`` gives None for the variances, the total is None and
-    ``sandwich`` is None.  Outcomes are gathered by one flat ``take``.
+    For a matrix M each block's cell means (and Vhat) come from one pass of
+    ``core._cell_moments``; the chunk's rows are joined, so the estimates are
+    ``means @ M^T`` and the variances ``Vhat (M o M)^T``, and the parts are
+    the Vhat rows, so M diag(.) M^T is formed once per run.  Without
+    ``variances`` the pass stops after the means (no SS_z, no Vhat) and the
+    variances and parts are None.  Outcomes are gathered by one flat
+    ``take``.  A callable is applied to ``observe`` of each assignment; its
+    covariances are summed in order into one P x P part per chunk, and the
+    variances and parts are None unless every success gave one (and there
+    was one).
     """
     if table.values.shape != (sizes.N, sizes.Q):
         raise ValueError(
@@ -257,37 +279,22 @@ def _block_evaluator(table, sizes, estimator, variances=True):
         flat = table.values.ravel()
         offsets = np.arange(table.N) * table.Q
 
-        def moments(cells):
-            y = flat.take(cells + offsets)
-            return _cell_moments(cells, y, table.Q, means_only=not variances)
+        def matrix(chunk):
+            moments = [
+                _cell_moments(cells, flat.take(cells + offsets), table.Q, means_only=not variances)
+                for cells in chunk
+            ]
+            means = np.concatenate([m.means for m in moments])
+            if not variances:
+                return means @ M.T, None, None, 0
+            v = np.concatenate([m.v_hat for m in moments])
+            return means @ M.T, v @ (M * M).T, v, 0
 
-        if not variances:
-            return (
-                lambda cells: (moments(cells).means, 0, None),
-                lambda means: (means @ M.T, None),
-                None,
-            )
-        total = np.zeros(table.Q)
+        return matrix, lambda v: (M * v) @ M.T
 
-        def with_vhat(cells):
-            nonlocal total
-            m = moments(cells)
-            v = m.v_hat
-            total = np.vstack((total, v)).cumsum(axis=0)[-1]
-            return np.hstack((m.means, v)), 0, total
-
-        def estimate(rows):
-            means, v = np.hsplit(rows, 2)
-            return means @ M.T, v @ (M * M).T
-
-        return with_vhat, estimate, lambda v: (M * v) @ M.T
-
-    total = 0.0
-
-    def per_table(cells):
-        nonlocal total
-        estimates, diagonals, failures = [], [], 0
-        for row in cells:
+    def per_table(chunk):
+        estimates, diagonals, total, failures = [], [], None, 0
+        for row in (row for block in chunk for row in block):
             try:
                 out = estimator(observe(table, row))
             except Factorial2kError:
@@ -296,63 +303,37 @@ def _block_evaluator(table, sizes, estimator, variances=True):
             if isinstance(out, tuple):
                 out, cov = out
                 cov = np.asarray(cov, dtype=np.float64)
-                diagonals.append(np.diag(cov))
-                total = total + cov
+                # a copy: the diagonal view would keep each P x P covariance alive
+                diagonals.append(cov.diagonal().copy())
+                total = cov if total is None else total + cov
             estimates.append(np.asarray(out, dtype=np.float64).ravel())
-        if not estimates:
-            return np.empty((0, 0)), failures, None
-        est = np.array(estimates)
-        if not variances:
-            return est, failures, None
-        if len(diagonals) == len(estimates):
-            return np.hstack((est, diagonals)), failures, total
-        return np.hstack((est, np.full_like(est, np.nan))), failures, None
+        if not diagonals or len(diagonals) < len(estimates):
+            return np.array(estimates), None, None, failures
+        return np.array(estimates), np.array(diagonals), total[None], failures
 
-    if not variances:
-        return per_table, lambda rows: (rows, None), None
-    return per_table, lambda rows: np.hsplit(rows, 2), lambda cov: cov
+    return per_table, lambda cov: cov
 
 
-def _drive(blocks, evaluate, estimate, truth=None, alpha=0.05, variances=True):
-    """Evaluate blocks of assignments in order and reduce them in replicate order.
+def _drive(chunks, evaluate, finish, truth=None, alpha=0.05):
+    """Evaluate chunks of assignments in order and reduce them in index order.
 
-    The rows of the blocks are regrouped into chunks of
-    REDUCE_ELEMENTS // width rows, counted from the first row whatever the
-    blocks, and each chunk is estimated and reduced in turn.  Rows of an
-    evaluator built without ``variances`` hold only the first half of the
-    rows built with them, and count at twice their width: a chunk holds the
-    same assignments either way, so the reports agree bit for bit.  Means and
+    Each chunk is evaluated once and its rows reduced at once.  Means and
     covariances accumulate deviations from the first estimate, which keeps
-    them exact under a large common offset.  Returns ``(n, failures, mean,
-    cov, mean_part, coverage)``, with ``mean_part`` the evaluator's
-    covariance total over n; the last two are None unless every block gave
-    covariances, and coverage also without ``truth``.
+    them exact under a large common offset.  The covariance parts are summed
+    here alone, one row at a time, and ``finish`` maps their mean to the mean
+    estimated covariance.  Returns ``(n, failures, mean, cov,
+    mean_estimated_cov, coverage)``; the last two are None unless every
+    chunk with a success gave variances, and coverage also without ``truth``.
     """
     zq = normal_quantile(1.0 - alpha / 2.0)
     n = failures = 0
-    cov_total, have_cov = None, True
-
-    def chunks():
-        nonlocal n, failures, cov_total, have_cov
-        held = None
-        for rows, failed, total in map(evaluate, blocks):
-            failures += failed
-            if not len(rows):
-                continue
-            n += len(rows)
-            have_cov, cov_total = have_cov and total is not None, total
-            held = rows if held is None else np.concatenate((held, rows))
-            step = max(1, REDUCE_ELEMENTS // (rows.shape[1] * (1 if variances else 2)))
-            cut = len(held) - len(held) % step
-            for lo in range(0, cut, step):
-                yield held[lo:lo + step]
-            held = held[cut:] if cut < len(held) else None
-        if held is not None:
-            yield held
-
-    origin = None
-    for rows in chunks():
-        est, var = estimate(rows)
+    origin = total = None
+    have_var = True
+    for est, var, part, failed in map(evaluate, chunks):
+        failures += failed
+        if not len(est):
+            continue
+        n += len(est)
         if origin is None:
             origin = est[0]
             acc = np.zeros_like(origin)
@@ -361,15 +342,18 @@ def _drive(blocks, evaluate, estimate, truth=None, alpha=0.05, variances=True):
         dev = est - origin
         acc += dev.sum(axis=0)
         acc_sq += dev.T @ dev
-        if truth is not None:
-            hits += (np.abs(est - truth) <= zq * np.sqrt(np.clip(var, 0.0, None))).sum(axis=0)
+        have_var = have_var and var is not None
+        if have_var:
+            total = (part if total is None else np.concatenate(([total], part))).cumsum(axis=0)[-1]
+            if truth is not None:
+                hits += (np.abs(est - truth) <= zq * np.sqrt(np.clip(var, 0.0, None))).sum(axis=0)
     if not n:
         return 0, failures, None, None, None, None
     shift = acc / n
     mean, cov = origin + shift, acc_sq / n - np.outer(shift, shift)
-    mean_part = cov_total / n if have_cov else None
-    coverage = hits / n if have_cov and truth is not None else None
-    return n, failures, mean, cov, mean_part, coverage
+    mean_cov = finish(total / n) if have_var else None
+    coverage = hits / n if have_var and truth is not None else None
+    return n, failures, mean, cov, mean_cov, coverage
 
 
 def exact_expectations(table, sizes, estimator):
@@ -377,19 +361,20 @@ def exact_expectations(table, sizes, estimator):
 
     ``estimator`` is a (P, Q) matrix M, the moment estimator M Yhat of the
     cell means, or a callable mapping an AssignmentTable to a flat vector.
-    Assignments are enumerated in lexicographic order, in the fixed rank
-    ranges Monte Carlo cuts its replicate numbers into, each block grown
-    from the prefix tree of the assignments: M is applied to a whole
-    block's cell means from one means-only pass of ``core._cell_moments``
-    (no SS_z and no Vhat, which the result does not use), a callable to
-    ``observe`` of each assignment.  Above ENUMERATION_GUARD assignments,
-    decided before any N! is formed, it raises TooManyAssignmentsError.  A
-    callable's package errors are counted and reported via
-    EstimatorFailureError: exact moments conditioned on success would not
-    be exact.  (M Yhat cannot fail: each cell holds >= 2 units.)
+    Assignments are enumerated in lexicographic order, in the chunks of
+    ``_chunks``, fixed rank ranges cut as Monte Carlo cuts its replicate
+    numbers, each block grown from the prefix tree of the assignments: M is
+    applied to a whole chunk's cell means from one means-only pass of
+    ``core._cell_moments`` per block (no SS_z and no Vhat, which the result
+    does not use), a callable to ``observe`` of each assignment.  Above
+    ENUMERATION_GUARD assignments, decided before any N! is formed, it
+    raises TooManyAssignmentsError.  A callable's package errors are counted
+    and reported via EstimatorFailureError: exact moments conditioned on
+    success would not be exact.  (M Yhat cannot fail: each cell holds >= 2
+    units.)
     """
-    evaluate, estimate, _ = _block_evaluator(table, sizes, estimator, variances=False)
-    n, failures, mean, cov, _, _ = _drive(_enumeration(sizes), evaluate, estimate, variances=False)
+    evaluate, finish = _block_evaluator(table, sizes, estimator, variances=False)
+    n, failures, mean, cov, _, _ = _drive(_enumeration(sizes), evaluate, finish)
     if failures:
         raise EstimatorFailureError(
             f"estimator failed on {failures} of {n + failures} assignments", failures
@@ -470,28 +455,27 @@ def monte_carlo(table, sizes, estimator, reps, seed, truth=None, alpha=0.05, wor
     block of B replicates is drawn by one ``rng.permuted`` call, which gives
     the same rows.  (Version 0.1.0 seeded each replicate on its own, so its
     reports for a fixed seed differ.)  Replicate numbers are cut into the
-    ranges exact enumeration cuts its lexicographic ranks into, evaluated
-    in order and reduced in replicate order.  ``workers`` (>= 1) is
-    accepted for compatibility and does not change the computation: the
-    report is bit-identical for a fixed (seed, reps), whatever
-    BLOCK_ELEMENTS.
+    chunks of ``_chunks``, the ranges exact enumeration cuts its
+    lexicographic ranks into, evaluated in order and reduced in replicate
+    order.  ``workers`` (>= 1) is accepted for compatibility and does not
+    change the computation: the report is bit-identical for a fixed (seed,
+    reps), whatever BLOCK_ELEMENTS.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    evaluate, estimate, sandwich = _block_evaluator(table, sizes, estimator)
+    evaluate, finish = _block_evaluator(table, sizes, estimator)
     rng = _run_rng(seed)
     base = np.repeat(np.arange(sizes.Q), sizes.sizes)
-    blocks = _blocks(reps, sizes.N, lambda replicates: rng.permuted(
+    chunks = _chunks(reps, sizes.N, sizes.Q, lambda replicates: rng.permuted(
         np.tile(base, (len(replicates), 1)), axis=1
     ))
     if truth is not None:
         truth = np.asarray(truth, dtype=np.float64).ravel()
-    n, failures, mean, cov, mean_part, coverage = _drive(blocks, evaluate, estimate, truth, alpha)
+    n, failures, mean, cov, mean_cov, coverage = _drive(chunks, evaluate, finish, truth, alpha)
     if not n:
         raise EstimatorFailureError("estimator failed on every replicate", reps)
-    mean_cov = None if mean_part is None else sandwich(mean_part)
     return SimReport("mc", reps, seed, mean, cov, mean_cov, coverage, alpha, failures)
 
 

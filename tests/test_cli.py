@@ -667,6 +667,17 @@ def test_verify_bad_k(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("K", [MAX_COVARIANCE_FACTORS + 1, MAX_FACTORS, 30])
+def test_verify_rejected_above_its_factor_limit(tmp_path, monkeypatch, capsys, K):
+    # the dense N x 2^K design took 20 s and 1 GB at K=11: refused before any work
+    suites = spy_calls(monkeypatch, "verify", "run_identity_suite")
+    code, payload = run_cli(["verify", "--K", str(K), "--delta", "0.5"], tmp_path)
+    assert (code, payload) == (EXIT_VALIDATION, None)
+    limit = MAX_COVARIANCE_FACTORS
+    assert capsys.readouterr().err == f"error: verify supports at most {limit} factors, got {K}\n"
+    assert suites == []
+
+
 def test_env_var_default_seed(tmp_path, monkeypatch):
     monkeypatch.setenv("FACTORIAL2K_SEED", "123")
     code, payload = run_cli(["verify", "--K", "2"], tmp_path)

@@ -1,7 +1,12 @@
 import gzip
 import itertools
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -409,6 +414,39 @@ def test_simulate_rejects_population_header_without_each_cell_once(
     assert not (tmp_path / "out.json").exists()
 
 
+def test_population_csv_with_byte_order_mark_reads_as_plain(tmp_path, small_population):
+    # Excel's "CSV UTF-8" starts the header with a UTF-8 byte-order mark
+    plain, marked = tmp_path / "pop.csv", tmp_path / "bom.csv"
+    small_population.to_csv(plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    back = PotentialOutcomeTable.from_csv(marked)
+    assert back.values.tobytes() == PotentialOutcomeTable.from_csv(plain).values.tobytes()
+    reports = []
+    for path in (plain, marked):
+        out = tmp_path / "out.json"
+        argv = ["simulate", "--population", str(path), "--sizes", "2,2,2,2", "--exact"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        reports.append(json.loads(out.read_text())["report"])
+    assert reports[0] == reports[1]
+
+
+def test_simulate_rejects_header_only_population_without_warning(tmp_path):
+    path = tmp_path / "pop.csv"
+    path.write_text("00,01,10,11\n")
+    with pytest.raises(ValueError, match="has no rows under its header"):
+        PotentialOutcomeTable.from_csv(path)
+    # numpy's warning would reach stderr only outside pytest's capture
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["simulate", "--population", str(path), "--sizes", "2,2,2,2", "--exact"]
+    run = subprocess.run(
+        [sys.executable, "-m", "factorial2k.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == EXIT_VALIDATION
+    assert run.stderr.startswith("error: ") and len(run.stderr.splitlines()) == 1
+    assert "Warning" not in run.stderr
+
+
 def test_population_csv_with_url_like_relative_name_is_read_as_a_file(
     tmp_path, monkeypatch, small_population
 ):
@@ -618,12 +656,14 @@ def test_monte_carlo_draws_successive_assignments_of_one_stream(small_population
 
 
 @pytest.mark.parametrize("K, reps", [(2, 23), (5, 300)])
-@pytest.mark.parametrize("chunk_rows", [None, 7])
+@pytest.mark.parametrize("chunk_rows", [None, 7, 1])
 def test_reports_identical_for_any_block_size(K, reps, chunk_rows, monkeypatch):
     # blocks of 1, 5 and 2^20 / N replicates; chunks of the default size or
-    # of about 7 rows, which straddle the blocks.  At K=5 numpy's BLAS gives
-    # a row of means @ G^T different last bits for different row counts, so
-    # only a fixed chunk keeps the report bit-identical
+    # of 7 replicates, which cut the blocks.  At K=5 numpy's BLAS gives a row
+    # of means @ G^T different last bits for different row counts, so only a
+    # fixed chunk keeps the report bit-identical.  The failing callable drops
+    # the replicates with unit 0 in cell 0, so its chunks hold fewer rows, and
+    # chunks of 1 replicate some none
     sizes = DesignSizes(np.full(2 ** K, 2))
     rng = np.random.default_rng(90 + K)
     table = PotentialOutcomeTable(rng.normal(3.0, 1.0, size=(sizes.N, 2 ** K)))
@@ -631,7 +671,14 @@ def test_reports_identical_for_any_block_size(K, reps, chunk_rows, monkeypatch):
     truth = G @ table.means
     if chunk_rows:
         monkeypatch.setattr(simulate, "REDUCE_ELEMENTS", chunk_rows * 2 * 2 ** K)
-    for estimator in (G, _moment_callable(G)):
+    moment = _moment_callable(G)
+
+    def failing(data):
+        if data.cell[0] == 0:
+            raise Factorial2kError("unit 0 in cell 0")
+        return moment(data)
+
+    for estimator in (G, moment, failing):
         reports = []
         for elements in (sizes.N, 5 * sizes.N, 2 ** 20):
             monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", elements)
@@ -640,13 +687,53 @@ def test_reports_identical_for_any_block_size(K, reps, chunk_rows, monkeypatch):
             )
         assert reports[0] == reports[1] == reports[2]
         assert reports[0]["coverage"] is not None
+        assert (reports[0]["failures"] > 0) == (estimator is failing)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1])
+def test_callable_with_some_covariances_reports_none(small_population, chunk_rows, monkeypatch):
+    # covariances from some assignments only, within one chunk or across
+    # chunks of one replicate: neither the mean estimated covariance nor the
+    # coverage can be formed
+    if chunk_rows:
+        monkeypatch.setattr(simulate, "REDUCE_ELEMENTS", chunk_rows * 2 * SIZES_2222.Q)
+    G = contrast_matrix(equal_scheme(2), 2).matrix
+    moment = _moment_callable(G)
+
+    def mixed(data):
+        est, cov = moment(data)
+        return est if data.cell[0] == 0 else (est, cov)
+
+    truth = G @ small_population.means
+    report = monte_carlo(small_population, SIZES_2222, mixed, reps=40, seed=4, truth=truth)
+    assert report.failures == 0
+    assert report.mean_estimated_cov is None and report.coverage is None
+    full = monte_carlo(small_population, SIZES_2222, moment, reps=40, seed=4, truth=truth)
+    assert full.mean_estimated_cov is not None and full.coverage is not None
+    np.testing.assert_array_equal(report.est_mean, full.est_mean)
+
+
+def test_callable_covariances_are_not_held_per_replicate():
+    # a replicate may keep its assignment, estimate and variances (about 2 KB
+    # here) but not its 31 x 31 covariance (7.7 KB), nor a view into it
+    sizes = DesignSizes(np.full(32, 3))
+    table = PotentialOutcomeTable(np.random.default_rng(93).normal(size=(sizes.N, 32)))
+    G = contrast_matrix(equal_scheme(5), 5).matrix
+    estimator = _moment_callable(G)
+    peaks = []
+    for reps in (200, 1000):
+        tracemalloc.start()
+        monte_carlo(table, sizes, estimator, reps=reps, seed=1)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 800 < len(G) ** 2 * 8 / 2
 
 
 @pytest.mark.parametrize("sizes", [(3, 4), (2, 2, 2, 2)])
 @pytest.mark.parametrize("chunk_rows", [None, 7])
 def test_exact_reports_identical_for_any_block_size(sizes, chunk_rows, monkeypatch):
     # blocks of 1, 5 and 2^20 / N assignments; chunks of the default size or
-    # of 7 rows, which straddle the blocks.  A chunk holds REDUCE_ELEMENTS //
+    # of 7 rows, which cut the blocks.  A chunk holds REDUCE_ELEMENTS //
     # (2Q) assignments, as when each row carried Vhat beside the cell means
     sizes = DesignSizes(np.array(sizes))
     count = sizes.assignment_count()
@@ -661,13 +748,14 @@ def test_exact_reports_identical_for_any_block_size(sizes, chunk_rows, monkeypat
     evaluator = simulate._block_evaluator
 
     def recording(*args, **kwargs):
-        evaluate, estimate, sandwich = evaluator(*args, **kwargs)
+        evaluate, finish = evaluator(*args, **kwargs)
 
-        def chunk(rows):
-            chunks.append(len(rows))
-            return estimate(rows)
+        def chunk(blocks):
+            out = evaluate(blocks)
+            chunks.append(len(out[0]))
+            return out
 
-        return evaluate, chunk, sandwich
+        return chunk, finish
 
     monkeypatch.setattr(simulate, "_block_evaluator", recording)
     results = []
