@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .core import MAX_FACTORS, canonical_masks, enumerate_subsets, subset_mask
+from .core import MAX_FACTORS, canonical_masks, canonical_subsets, subset_mask
 from .errors import DimensionMismatchError
 
 
@@ -73,10 +73,24 @@ def _lifted_joint(scheme):
     return scheme._cache["lifted_joint"]
 
 
+def _paired(factors):
+    """Consecutive factors multiplied into Kronecker pairs, the last one alone when K is odd.
+
+    ``kron(a, b)`` is one broadcast product, entry for entry the product
+    np.kron forms, so applying the pairs takes ceil(K/2) passes.
+    """
+    pairs = [
+        (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+        for a, b in zip(factors[::2], factors[1::2])
+    ]
+    return pairs + list(factors[2 * len(pairs):])
+
+
 class FactorMap:
     """The map ``kron(R) diag(P) kron(W)`` with its output rows taken in ``order``, never formed.
 
-    ``R`` and ``W`` hold one matrix per factor, factor 0 on the slowest axis;
+    ``R`` and ``W`` are given as one matrix per factor, factor 0 on the
+    slowest axis, and stored multiplied into Kronecker pairs (``_paired``);
     with no ``P`` and ``W`` the map is ``kron(R)`` alone.  Each operation
     takes a vector or a (n, B) block of B columns:
 
@@ -89,7 +103,8 @@ class FactorMap:
     """
 
     def __init__(self, R, order, P=None, W=None):
-        self.R, self.order, self.P, self.W = R, order, P, W
+        self.R, self.order, self.P = _paired(R), order, P
+        self.W = None if W is None else _paired(W)
 
     def _apply(self, R, P, W, x):
         if W is not None:
@@ -191,7 +206,7 @@ def contrast_matrix(scheme, K):
     if "contrast_matrix" not in scheme._cache:
         rows = _dense_rows(scheme)
         rows.setflags(write=False)
-        scheme._cache["contrast_matrix"] = ContrastMatrix(rows, tuple(enumerate_subsets(K)))
+        scheme._cache["contrast_matrix"] = ContrastMatrix(rows, canonical_subsets(K))
     return scheme._cache["contrast_matrix"]
 
 

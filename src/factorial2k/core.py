@@ -43,9 +43,18 @@ READ_CHUNK = 1 << 20
 COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
+# the label of the intercept in a regression report
+INTERCEPT_LABEL = "(Intercept)"
+
+
 @dataclass(frozen=True)
 class FactorSpec:
-    """K binary factors with distinct human-readable labels."""
+    """K binary factors with distinct human-readable labels.
+
+    A label is nonempty, holds no ``:`` and is not ``(Intercept)``, so every
+    subset label ``A:B`` names one subset and no coefficient shares the
+    intercept's name.
+    """
 
     labels: tuple
 
@@ -58,6 +67,12 @@ class FactorSpec:
             raise ValueError(f"at most {MAX_FACTORS} factors supported")
         if len(set(labels)) != len(labels):
             raise ValueError("factor labels must be distinct")
+        for label in labels:
+            if not label or ":" in label or label == INTERCEPT_LABEL:
+                raise ValueError(
+                    f"factor label {label!r} must be nonempty, hold no ':' and not be "
+                    f"{INTERCEPT_LABEL!r}"
+                )
 
     @property
     def K(self):
@@ -74,7 +89,9 @@ class FactorSpec:
     @functools.cached_property
     def effect_labels(self):
         """Labels of every nonempty subset in canonical order, built once."""
-        return tuple(self.subset_label(s) for s in enumerate_subsets(self.K))
+        return tuple(
+            ":".join(c) for m in range(1, self.K + 1) for c in combinations(self.labels, m)
+        )
 
 
 def default_spec(K):
@@ -101,11 +118,14 @@ def cell_index(z):
 
 
 def enumerate_subsets(K):
-    """All nonempty subsets of [K] in canonical (cardinality, lex) order."""
-    out = []
-    for m in range(1, K + 1):
-        out.extend(tuple(c) for c in combinations(range(K), m))
-    return out
+    """All nonempty subsets of [K] in canonical (cardinality, lex) order, as a new list."""
+    return list(canonical_subsets(K))
+
+
+@functools.cache
+def canonical_subsets(K):
+    """The nonempty subsets of [K] in canonical order, as a tuple built once per K."""
+    return tuple(c for m in range(1, K + 1) for c in combinations(range(K), m))
 
 
 def subset_mask(subset, K):
@@ -259,8 +279,11 @@ def ingest_csv(path, spec, outcome_col="Y"):
     outcome column must parse as a float.  Row order is preserved.  A plain
     comma-separated file is parsed in one vectorised pass; any other file,
     and every file with an error, is read row by row, which gives the same
-    table or raises the same ParseError.
+    table or raises the same ParseError.  The outcome column may not be a
+    factor column.
     """
+    if outcome_col in spec.labels:
+        raise ParseError(f"outcome column {outcome_col!r} is also a factor column")
     data = _read_plain(path, spec, outcome_col)
     return data if data is not None else _read_rows(path, spec, outcome_col)
 
@@ -317,8 +340,6 @@ def _read_plain(path, spec, outcome_col):
             return None
         factor_cols = [column[label] for label in spec.labels]
         y_col = column[outcome_col]
-        if y_col in factor_cols:
-            return None
         types = ["U1"] * len(header)
         for i in factor_cols:
             types[i] = "U2"

@@ -133,18 +133,18 @@ class InferenceReport:
 
     def to_dict(self, covariance=False):
         """Per-effect estimates, SEs, CIs and z; the full ``covariance`` only on request."""
-        se, half, z = self.se, self.ci_half_width, self.z_stat
-        low, high = self.estimate - half, self.estimate + half
+        half = self.ci_half_width
+        columns = (self.estimate, self.se, self.estimate - half, self.estimate + half, self.z_stat)
         effects = {
             label: {
-                "estimate": float(self.estimate[i]),
-                "se": float(se[i]),
-                "ci_low": float(low[i]),
-                "ci_high": float(high[i]),
+                "estimate": e,
+                "se": s,
+                "ci_low": low,
+                "ci_high": high,
                 # no z statistic without a standard error
-                "z": float(z[i]) if se[i] > 0 else None,
+                "z": z if s > 0 else None,
             }
-            for i, label in enumerate(self.labels)
+            for label, e, s, low, high, z in zip(self.labels, *(c.tolist() for c in columns))
         }
         out = {"alpha": self.alpha, "effects": effects}
         if covariance:

@@ -12,7 +12,7 @@ whole (``ols_fit`` passes each unit as its own cell): the saturated rows are
 square and inverted in closed form as a Kronecker product; any other model
 takes its coefficient map from one singular value decomposition of its
 included rows, in numpy's LAPACK.  The saturated map A, the design's
-transpose X^T and G are ``contrasts.FactorMap``s, applied factor by factor
+transpose X^T and G are ``contrasts.FactorMap``s, applied in factor pairs
 and never formed.  Every dense design column comes from one builder,
 ``_cell_rows``; the dense saturated map and HC0 covariance are formed only
 when they are read.
@@ -25,7 +25,7 @@ import random
 import numpy as np
 
 from .contrasts import FactorMap, contrast_matrix, effect_map
-from .core import CellMoments, canonical_masks, enumerate_subsets
+from .core import INTERCEPT_LABEL, CellMoments, canonical_masks, canonical_subsets
 from .errors import IdentityViolationError, RankDeficientError
 from .estimation import RANK_RTOL, moment_estimates
 from .weighting import ShiftVector, product_scheme
@@ -54,7 +54,7 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "delta", _shift_vector(self.delta))
         K = self.delta.K
-        allowed = set(enumerate_subsets(K))
+        allowed = set(canonical_subsets(K))
         terms = tuple(tuple(sorted(t)) for t in self.terms)
         if not terms:
             raise ValueError("terms must be nonempty")
@@ -82,7 +82,7 @@ def _shift_vector(delta):
 
 def saturated_spec(delta):
     delta = _shift_vector(delta)
-    return ModelSpec(delta, tuple(enumerate_subsets(delta.K)))
+    return ModelSpec(delta, canonical_subsets(delta.K))
 
 
 def additive_spec(delta):
@@ -129,7 +129,7 @@ def _cell_rows(delta, masks):
 def _included(spec):
     """The model's included cell rows, intercept first, and its included and omitted positions."""
     included = set(spec.terms)
-    is_plus = np.array([s in included for s in enumerate_subsets(spec.K)])
+    is_plus = np.array([s in included for s in canonical_subsets(spec.K)])
     plus_pos, minus_pos = np.flatnonzero(is_plus), np.flatnonzero(~is_plus)
     masks = _term_order(spec.K)[np.concatenate([[0], 1 + plus_pos])]
     return _cell_rows(spec.delta.delta, masks), plus_pos, minus_pos
@@ -196,12 +196,12 @@ class FitResult:
             names = spec.effect_labels
         else:
             names = [spec.subset_label(t) for t in self.terms]
-        labels = ["(Intercept)", *names]
+        labels = [INTERCEPT_LABEL, *names]
         se = np.sqrt(np.clip(self.robust_var, 0.0, None))
         out = {
             "coefficients": {
-                lb: {"coefficient": float(c), "robust_se": float(s)}
-                for lb, c, s in zip(labels, self.coefficients, se)
+                lb: {"coefficient": c, "robust_se": s}
+                for lb, c, s in zip(labels, self.coefficients.tolist(), se.tolist())
             },
         }
         if covariance:
@@ -314,7 +314,7 @@ def saturated_fit(data, delta, covariance=False):
     Returns (fit, verification) where verification records the max relative
     errors of the coefficient and covariance identities against the moment
     estimator under the product scheme built from delta.  The fit applies
-    the Kronecker inverse ``A`` of the cell rows factor by factor; the check
+    the Kronecker inverse ``A`` of the cell rows in factor pairs; the check
     takes G from the 3^K lift of the product joint (``effect_map``): two
     independent derivations, neither a dense Q x Q array.  The coefficients
     must equal ``G ybar``.  The HC0 covariance ``A_1 diag(w) A_1^T`` (A_1 drops the
@@ -339,7 +339,7 @@ def saturated_fit(data, delta, covariance=False):
     factors = _inverse_factors(shifts)
     A = FactorMap(factors, order)
     fit = FitResult(
-        tuple(enumerate_subsets(K)),
+        canonical_subsets(K),
         A(means),
         A.squared(w),
         lambda: _sandwich(_saturated_map(shifts, counts), w),

@@ -11,6 +11,7 @@ and is grown from the prefix tree of the assignments.
 """
 
 from dataclasses import dataclass
+import functools
 import math
 import warnings
 
@@ -142,12 +143,20 @@ class DesignSizes:
         return count
 
 
+@functools.cache
+def _cell_levels(K):
+    """The default FactorSpec of K factors and its read-only 2^K x K table of cell levels."""
+    levels = np.array(enumerate_treatments(K), dtype=np.int64)
+    levels.setflags(write=False)
+    return default_spec(K), levels
+
+
 def observe(table, cells):
     """Observed dataset from a potential-outcome table and a cell assignment."""
     cells = np.asarray(cells, dtype=np.int64)
-    levels = np.array(enumerate_treatments(table.K), dtype=np.int64)[cells]
+    spec, levels = _cell_levels(table.K)
     outcome = table.values[np.arange(table.N), cells]
-    return AssignmentTable(default_spec(table.K), levels, outcome)
+    return AssignmentTable(spec, levels[cells], outcome)
 
 
 def draw_assignment(sizes, rng):

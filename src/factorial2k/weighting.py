@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .contrasts import _lifted_joint
 from .core import subset_mask
 from .errors import InvalidMassError
 
@@ -80,9 +81,14 @@ class WeightingScheme:
     def factor_one_probs(self):
         """Vector of pi(factor k = 1) for k = 1..K.
 
-        Clipped to [0, 1]: the summed joint can land an ulp past 1.
+        Read off the lifted joint in one gather: its cell with factor k at
+        level 1 and every other factor summed out, base-3 index
+        ``(3^K - 1) - 3^(K-1-k)``, sums the joint one factor at a time in
+        factor order, as ``marginal((k,))`` does, so the two agree bit for
+        bit.  Clipped to [0, 1]: the summed joint can land an ulp past 1.
         """
-        return np.clip([self.marginal((k,))[1] for k in range(self.K)], 0.0, 1.0)
+        index = 3 ** self.K - 1 - 3 ** np.arange(self.K - 1, -1, -1)
+        return np.clip(_lifted_joint(self)[index], 0.0, 1.0)
 
 
 def from_joint(mass):
@@ -114,7 +120,7 @@ def product_scheme(delta):
     if "scheme" not in delta._cache:
         mass = np.ones(1)
         for d in delta.delta:
-            mass = np.kron(mass, np.array([1.0 - d, d]))
+            mass = np.outer(mass, (1.0 - d, d)).ravel()
         delta._cache["scheme"] = WeightingScheme(delta.K, mass)
     return delta._cache["scheme"]
 

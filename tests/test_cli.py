@@ -258,6 +258,24 @@ def test_analyze_covariance_rejected_above_its_factor_limit(tmp_path, monkeypatc
     assert len(ingests) == 1
 
 
+def test_analyze_rejects_factor_label_with_colon(tmp_path, capsys):
+    # factor "A:B" and the A x B interaction would share the key "A:B"
+    path = tmp_path / "colon.csv"
+    path.write_text("A,B,A:B,Y\n" + "".join(
+        f"{c >> 2 & 1},{c >> 1 & 1},{c & 1},{c + r}\n" for c in range(8) for r in (0.0, 0.5)
+    ))
+    code, payload = run_cli(["analyze", "--input", str(path), "--factors", "A,B,A:B"], tmp_path)
+    assert (code, payload) == (EXIT_VALIDATION, None)
+    assert capsys.readouterr().err.startswith("error: factor label 'A:B' must be nonempty")
+
+
+def test_analyze_rejects_outcome_column_that_is_a_factor(csv_2x2, tmp_path, capsys):
+    argv = ["analyze", "--input", csv_2x2, "--factors", "A,B", "--outcome-col", "A"]
+    code, payload = run_cli(argv, tmp_path)
+    assert (code, payload) == (EXIT_VALIDATION, None)
+    assert capsys.readouterr().err == "error: outcome column 'A' is also a factor column\n"
+
+
 def test_analyze_missing_factors(csv_2x2, tmp_path):
     code, _ = run_cli(["analyze", "--input", csv_2x2], tmp_path)
     assert code == EXIT_VALIDATION

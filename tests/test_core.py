@@ -82,6 +82,24 @@ def test_factor_spec_validation():
     assert default_spec(2).subset_label((0, 1)) == "A:B"
 
 
+@pytest.mark.parametrize("label", ["", "A:B", ":", "B:", "(Intercept)"])
+def test_factor_spec_rejects_labels_that_collide(label):
+    # "A:B" would name both a factor and the A x B interaction, and
+    # "(Intercept)" a factor and the regression's intercept
+    with pytest.raises(ValueError, match="must be nonempty"):
+        FactorSpec(("A", "B", label))
+
+
+@pytest.mark.parametrize("K", range(1, 13))
+def test_effect_labels_name_every_subset_once(K):
+    spec = FactorSpec(tuple(f"x{k}" for k in range(K)))
+    expected = tuple(spec.subset_label(s) for s in enumerate_subsets(K))
+    assert spec.effect_labels == expected
+    assert len(set(expected)) == 2 ** K - 1
+    assert core.canonical_subsets(K) == tuple(enumerate_subsets(K))
+    assert core.canonical_subsets(K) is core.canonical_subsets(K)
+
+
 def test_cell_summary_direct_arithmetic(balanced_2x2):
     s = cell_summary(balanced_2x2)
     assert np.array_equal(s.counts, [2, 2, 2, 2])
@@ -404,12 +422,15 @@ def test_ingest_errors_come_from_row_by_row_path(tmp_path, monkeypatch, body, me
     assert len(rows) == 1
 
 
-def test_ingest_outcome_column_that_is_also_a_factor(tmp_path, monkeypatch):
+def test_ingest_refuses_outcome_column_that_is_also_a_factor(tmp_path, monkeypatch):
+    # the effects of B on B would be reported; refused before the file is read
     path = tmp_path / "d.csv"
     path.write_text("A,B\n0,1\n1,1\n")
-    data, row_by_row = _ingest(monkeypatch, path, default_spec(2), outcome_col="B")
-    assert row_by_row
-    np.testing.assert_array_equal(data.outcome, [1.0, 1.0])
+    plain = spy_calls(monkeypatch, "core", "_read_plain")
+    rows = spy_calls(monkeypatch, "core", "_read_rows")
+    with pytest.raises(ParseError, match="outcome column 'B' is also a factor column"):
+        ingest_csv(path, default_spec(2), outcome_col="B")
+    assert (plain, rows) == ([], [])
 
 
 @pytest.mark.filterwarnings("error")

@@ -11,6 +11,7 @@ from factorial2k import (
     enumerate_subsets,
     equal_scheme,
     enumerate_treatments,
+    from_joint,
     moment_estimates,
     ols_fit,
     omitted_algebra,
@@ -22,7 +23,7 @@ from factorial2k import (
     wls_fit,
 )
 from factorial2k import regression
-from factorial2k.contrasts import FactorMap
+from factorial2k.contrasts import FactorMap, effect_map
 from factorial2k.errors import IdentityViolationError, RankDeficientError
 from factorial2k.estimation import RANK_RTOL
 from factorial2k.regression import (
@@ -691,6 +692,31 @@ def test_saturated_and_design_maps_match_dense(K):
             assert rel_err(X_t(y), X_rows @ y) <= 1e-13
             assert rel_err(X_t.squared(y), (X_rows * X_rows) @ y) <= 1e-13
             assert rel_err(X_t.T(u), X_rows.T @ u) <= 1e-13
+
+
+@pytest.mark.parametrize("K", range(1, 11))
+def test_paired_maps_match_dense_kronecker_products(K):
+    # a FactorMap holds its factors in Kronecker pairs, one pass per pair: G
+    # over a general joint, the saturated map A at fractional shifts and the
+    # design's X^T, applied, squared and transposed on a vector and on a block
+    rng = np.random.default_rng(320 + K)
+    Q = 2 ** K
+    delta = rng.uniform(0.05, 0.95, K)
+    scheme = from_joint(rng.dirichlet(np.ones(Q)))
+    order = regression._term_order(K)
+    maps = [
+        (effect_map(scheme), contrast_matrix(scheme, K).matrix),
+        (FactorMap(regression._inverse_factors(delta), order), _saturated_map(delta, np.ones(Q))),
+        (FactorMap([F.T for F in regression._row_factors(delta)], order), dense_cell_rows(delta).T),
+    ]
+    for M, dense in maps:
+        assert len(M.R) == (K + 1) // 2
+        assert M.W is None or len(M.W) == (K + 1) // 2
+        for shape in ((Q,), (Q, 3)):
+            y, u = rng.normal(size=shape), rng.normal(size=(len(dense), *shape[1:]))
+            assert rel_err(M(y), dense @ y) <= 1e-13
+            assert rel_err(M.squared(y), (dense * dense) @ y) <= 1e-13
+            assert rel_err(M.T(u), dense.T @ u) <= 1e-13
 
 
 def test_saturated_fit_and_covariance_ordering_form_no_dense_g(monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import gzip
 import itertools
 import json
@@ -17,6 +18,7 @@ from factorial2k import (
     additive_spec,
     cell_summary,
     compare_saturated_unsaturated,
+    default_spec,
     draw_assignment,
     effect_estimates,
     enumerate_assignments,
@@ -711,6 +713,26 @@ def test_callable_with_some_covariances_reports_none(small_population, chunk_row
     full = monte_carlo(small_population, SIZES_2222, moment, reps=40, seed=4, truth=truth)
     assert full.mean_estimated_cov is not None and full.coverage is not None
     np.testing.assert_array_equal(report.est_mean, full.est_mean)
+
+
+def test_observe_builds_spec_and_levels_once_per_K(monkeypatch, small_population):
+    # a callable's Monte Carlo observes every replicate; the factor spec and
+    # the 2^K x K level table are built once per K, not per replicate
+    fresh = functools.cache(simulate._cell_levels.__wrapped__)
+    monkeypatch.setattr(simulate, "_cell_levels", fresh)
+    specs = spy_calls(monkeypatch, "core", "default_spec")
+    tables = spy_calls(monkeypatch, "core", "enumerate_treatments")
+    G = contrast_matrix(equal_scheme(2), 2).matrix
+    builds = []
+    for reps in (5, 60):
+        monte_carlo(small_population, SIZES_2222, _moment_callable(G), reps=reps, seed=5)
+        builds.append((len(specs), len(tables)))
+    assert builds == [(1, 1), (1, 1)]
+    cells = np.array([3, 2, 1, 0, 0, 1, 2, 3])
+    data = observe(small_population, cells)
+    assert data.spec == default_spec(2)
+    np.testing.assert_array_equal(data.assignment, (cells[:, None] >> [1, 0]) & 1)
+    np.testing.assert_array_equal(data.outcome, small_population.values[np.arange(8), cells])
 
 
 def test_callable_covariances_are_not_held_per_replicate():

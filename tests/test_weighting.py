@@ -152,6 +152,20 @@ def test_one_probabilities_stay_in_the_unit_interval():
     np.testing.assert_allclose(pi_cross(s).joint, s.joint, atol=1e-15)
 
 
+@pytest.mark.parametrize("K", range(1, 11))
+def test_one_probabilities_equal_the_one_factor_marginals_bit_for_bit(K):
+    # read off the lifted joint in one gather, they sum the joint in the
+    # order marginal((k,)) does
+    rng = np.random.default_rng(150 + K)
+    counts = rng.integers(1, 40, size=2 ** K)
+    joints = [rng.dirichlet(np.ones(2 ** K)), counts / counts.sum(),
+              product_scheme(rng.uniform(0, 1, K)).joint, np.full(2 ** K, 2.0 ** -K)]
+    for joint in joints:
+        scheme = from_joint(joint)
+        marginals = np.clip([scheme.marginal((k,))[1] for k in range(K)], 0.0, 1.0)
+        np.testing.assert_array_equal(scheme.factor_one_probs(), marginals)
+
+
 def test_pi_cross_marginalize_then_multiply():
     s = from_joint([0.1, 0.2, 0.3, 0.4])
     # product of (.3,.7) x (.4,.6)
