@@ -5,8 +5,9 @@ package version for reproducibility.  ``analyze`` reports per-effect
 estimates, SEs, CIs and z, and regression coefficients with robust SEs; the
 two full covariance matrices are written only with ``--covariance``.  Exit
 codes: 0 ok, 1 validation error (including an unreadable input or
-unwritable output file), 2 numerical failure, 3 identity/verification
-failure, 4 internal error (an unexpected exception, reported in one line).
+unwritable output file, and a request too large for memory), 2 numerical
+failure, 3 identity/verification failure, 4 internal error (an unexpected
+exception, reported in one line).
 """
 
 import argparse
@@ -283,16 +284,38 @@ def _build_parser():
     return parser
 
 
+def _check_seed(args):
+    """Fill in the default seed from FACTORIAL2K_SEED and check that the seed is >= 0."""
+    source = "--seed"
+    if args.seed is None:
+        source, text = "FACTORIAL2K_SEED", os.environ.get("FACTORIAL2K_SEED", "0")
+        try:
+            args.seed = int(text)
+        except ValueError:
+            raise ParseError(f"FACTORIAL2K_SEED must be a non-negative integer, got {text!r}")
+    if args.seed < 0:
+        raise ParseError(f"{source} must be a non-negative integer, got {args.seed}")
+
+
 def main(argv=None):
     args = _main_parser().parse_args(argv)
     try:
-        if vars(args).get("seed", 0) is None:
-            args.seed = int(os.environ.get("FACTORIAL2K_SEED", "0"))
-        if "alpha" in vars(args) and not 0.0 < args.alpha < 1.0:
-            raise ParseError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
+        if "seed" in vars(args):
+            _check_seed(args)
+        # below about 1.1e-16, 1 - alpha/2 rounds to 1.0, which has no Normal quantile
+        if "alpha" in vars(args) and not (0.0 < args.alpha < 1.0 and 1.0 - args.alpha / 2.0 < 1.0):
+            raise ParseError(
+                f"--alpha must lie strictly between 0 and 1, with 1 - alpha/2 below 1.0 "
+                f"in floating point, got {args.alpha}"
+            )
         return args.func(args)
     except (ParseError, ValueError, TooManyAssignmentsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        # a request too large for this machine: bad input, not a bug
+        message = str(exc).replace("\n", " ") or "allocation failed"
+        print(f"error: out of memory: {message}", file=sys.stderr)
         return EXIT_VALIDATION
     except IdentityViolationError as exc:
         print(f"identity failure: {exc}", file=sys.stderr)

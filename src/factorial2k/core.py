@@ -233,28 +233,34 @@ class CellMoments(NamedTuple):
         return self.counts / self.counts.sum(axis=-1, keepdims=True)
 
 
-def _cell_moments(cells, outcomes, Q, means_only=False):
+def _cell_moments(cells, outcomes, Q, means_only=False, counts=None):
     """CellMoments of each row of assignments; zeros for an empty cell.
 
     ``cells`` (indices in 0..Q-1) and ``outcomes`` have shape (N,) for one
     table or (B, N) for a block of B assignments; the fields have shape
     (Q,) or (B, Q).  Row b of a block uses bins b*Q .. b*Q + Q - 1 of one
     bincount, so each row's sums run in unit order, as for that row alone.
-    With ``means_only`` the pass stops after the means, with two bincounts
-    and no deviations, and ``ss`` is None, so ``v_hat`` cannot be read.
+    ``counts``, when given, are the N_z that every row shares, as in a
+    complete randomization: they are not counted, and ``CellMoments.counts``
+    is a read-only broadcast of them.  With ``means_only`` the pass stops
+    after the means, with no deviations, and ``ss`` is None, so ``v_hat``
+    cannot be read.
     """
     cells = np.asarray(cells)
     rows = 1 if cells.ndim == 1 else cells.shape[0]
     shape = cells.shape[:-1] + (Q,)
     flat = (cells.reshape(rows, -1) + Q * np.arange(rows)[:, None]).ravel()
     y = np.asarray(outcomes, dtype=np.float64).ravel()
-    counts = np.bincount(flat, minlength=rows * Q)
-    means = np.bincount(flat, weights=y, minlength=rows * Q) / np.maximum(counts, 1)
+    if counts is None:
+        counts = np.bincount(flat, minlength=rows * Q).reshape(shape)
+    means = np.bincount(flat, weights=y, minlength=rows * Q).reshape(shape) / np.maximum(counts, 1)
+    counts = np.broadcast_to(counts, shape)
     if means_only:
-        return CellMoments(counts.reshape(shape), means.reshape(shape), None)
-    deviation = y - means[flat]
-    ss = np.bincount(flat, weights=deviation ** 2, minlength=rows * Q)
-    return CellMoments(counts.reshape(shape), means.reshape(shape), ss.reshape(shape))
+        return CellMoments(counts, means, None)
+    deviation = y - means.reshape(-1).take(flat)
+    deviation *= deviation
+    ss = np.bincount(flat, weights=deviation, minlength=rows * Q)
+    return CellMoments(counts, means, ss.reshape(shape))
 
 
 def cell_summary(data, variances=True):

@@ -190,23 +190,26 @@ def _ranked(sizes, count, ranks):
     """(B, N) block of the assignments with the consecutive lexicographic ``ranks``.
 
     The prefix tree of the assignments grows one position at a time:
-    ``np.nonzero`` of the cells left to each kept prefix lists its children
-    in lexicographic order, and the children from the one holding the first
-    rank to the one holding the last are kept.  Only those two boundary
-    prefixes are counted, in Python ints: of the c assignments sharing a
-    prefix with m positions to fill, c * n_v / m put cell v next.  The rows
-    are read off the kept cells and parent pointers by one backtracking
-    ``take`` per position.  The cells left to each prefix are int16: under
-    ENUMERATION_GUARD no cell holds more than 4470 units.
+    ``np.flatnonzero`` of the cells left to each kept prefix lists its
+    children in lexicographic order, as flat indices parent * Q + cell, and
+    the children from the one holding the first rank to the one holding the
+    last are kept; the list is sliced only on a level that the range cuts.
+    Only those two boundary prefixes are counted, in Python ints: of the c
+    assignments sharing a prefix with m positions to fill, c * n_v / m put
+    cell v next.  Rows of the frontier are gathered by ``take`` along axis
+    0, and the rows are read off the kept cells and parent pointers by one
+    backtracking ``take`` per position.  The cells left to each prefix are
+    int16: under ENUMERATION_GUARD no cell holds more than 4470 units.
     """
+    Q = sizes.Q
     left = sizes.sizes[None, :].astype(np.int16)
     # row v takes one unit from cell v
-    step = -np.eye(sizes.Q, dtype=np.int16)
+    step = -np.eye(Q, dtype=np.int16)
     # the prefixes holding the first and the last rank: [cells left, count, offset]
     ends = [[sizes.sizes.tolist(), count, rank] for rank in (ranks[0], ranks[-1])]
     levels = []
     for m in range(sizes.N, 0, -1):
-        parent, cell = np.nonzero(left)
+        child = np.flatnonzero(left)
         cut = []
         for end in ends:
             counts, c, rank = end
@@ -219,10 +222,11 @@ def _ranked(sizes, count, ranks):
             counts[v] -= 1
             end[1:] = share, rank
             cut.append((i, len(kids) - 1 - i))
-        keep = slice(cut[0][0], len(cell) - cut[1][1])
-        parent, cell = parent[keep], cell[keep]
-        left = left[parent]
-        left += step[cell]
+        if cut[0][0] or cut[1][1]:
+            child = child[cut[0][0]:len(child) - cut[1][1]]
+        parent, cell = np.divmod(child, Q)
+        left = left.take(parent, axis=0)
+        left += step.take(cell, axis=0)
         levels.append((parent, cell))
     out = np.empty((len(ranks), sizes.N), dtype=np.int64)
     row = np.arange(len(ranks))
@@ -268,15 +272,16 @@ def _block_evaluator(table, sizes, estimator, variances=True):
     estimated covariance.
 
     For a matrix M each block's cell means (and Vhat) come from one pass of
-    ``core._cell_moments``; the chunk's rows are joined, so the estimates are
-    ``means @ M^T`` and the variances ``Vhat (M o M)^T``, and the parts are
-    the Vhat rows, so M diag(.) M^T is formed once per run.  Without
-    ``variances`` the pass stops after the means (no SS_z, no Vhat) and the
-    variances and parts are None.  Outcomes are gathered by one flat
-    ``take``.  A callable is applied to ``observe`` of each assignment; its
-    covariances are summed in order into one P x P part per chunk, and the
-    variances and parts are None unless every success gave one (and there
-    was one).
+    ``core._cell_moments``, given the design's cell sizes, which every
+    assignment shares, so no block counts its cells; the chunk's rows are
+    joined, so the estimates are ``means @ M^T`` and the variances
+    ``Vhat (M o M)^T``, and the parts are the Vhat rows, so M diag(.) M^T is
+    formed once per run.  Without ``variances`` the pass stops after the
+    means (no SS_z, no Vhat) and the variances and parts are None.  Outcomes
+    are gathered by one flat ``take``.  A callable is applied to ``observe``
+    of each assignment; its covariances are summed in order into one P x P
+    part per chunk, and the variances and parts are None unless every
+    success gave one (and there was one).
     """
     if table.values.shape != (sizes.N, sizes.Q):
         raise ValueError(
@@ -290,7 +295,10 @@ def _block_evaluator(table, sizes, estimator, variances=True):
 
         def matrix(chunk):
             moments = [
-                _cell_moments(cells, flat.take(cells + offsets), table.Q, means_only=not variances)
+                _cell_moments(
+                    cells, flat.take(cells + offsets), table.Q,
+                    means_only=not variances, counts=sizes.sizes,
+                )
                 for cells in chunk
             ]
             means = np.concatenate([m.means for m in moments])

@@ -289,12 +289,14 @@ def test_analyze_bad_delta_length(csv_2x2, tmp_path):
     assert code == EXIT_VALIDATION
 
 
-@pytest.mark.parametrize("command", ["analyze", "simulate"])
-@pytest.mark.parametrize("alpha", ["1.5", "1", "0", "-0.1"])
+@pytest.mark.parametrize("command", ["analyze", "simulate", "simulate-exact"])
+@pytest.mark.parametrize("alpha", ["1.5", "1", "0", "-0.1", "1e-17"])
 def test_alpha_outside_unit_interval(csv_2x2, tmp_path, capsys, command, alpha):
+    # 1 - 1e-17 / 2 rounds to 1.0, which has no Normal quantile
     requests = {
         "analyze": ["analyze", "--input", csv_2x2, "--factors", "A,B"],
         "simulate": ["simulate", "--population", "constant", "--sizes", "2,2,2,2", "--reps", "5"],
+        "simulate-exact": ["simulate", "--population", "constant", "--sizes", "2,2,2,2", "--exact"],
     }
     code, payload = run_cli(requests[command] + ["--alpha", alpha], tmp_path)
     assert code == EXIT_VALIDATION
@@ -701,6 +703,50 @@ def test_env_var_default_seed(tmp_path, monkeypatch):
     code, payload = run_cli(["verify", "--K", "2"], tmp_path)
     assert code == EXIT_OK
     assert payload["config"]["args"]["seed"] == 123
+
+
+SIMULATE_MC = ["simulate", "--population", "constant", "--sizes", "2,2,2,2", "--reps", "5"]
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (SIMULATE_MC + ["--seed", "-1"], None, "--seed must be a non-negative integer, got -1"),
+    (["verify", "--K", "3", "--seed", "-1"], None, "--seed must be a non-negative integer, got -1"),
+    (SIMULATE_MC, "-3", "FACTORIAL2K_SEED must be a non-negative integer, got -3"),
+    (["verify", "--K", "3"], "abc", "FACTORIAL2K_SEED must be a non-negative integer, got 'abc'"),
+])
+def test_bad_seed_names_its_source(tmp_path, monkeypatch, capsys, argv, env, message):
+    if env is not None:
+        monkeypatch.setenv("FACTORIAL2K_SEED", env)
+    code, payload = run_cli(argv, tmp_path)
+    assert (code, payload) == (EXIT_VALIDATION, None)
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_analyze_ignores_the_seed_variable(csv_2x2, tmp_path, monkeypatch):
+    # analyze draws nothing, so it has no seed to check
+    monkeypatch.setenv("FACTORIAL2K_SEED", "abc")
+    code, _ = run_cli(["analyze", "--input", csv_2x2, "--factors", "A,B"], tmp_path)
+    assert code == EXIT_OK
+
+
+def test_request_too_large_for_memory_exits_validation(tmp_path, monkeypatch, capsys):
+    # the population of --sizes 1000000000,2 would take 14.9 GiB; the
+    # allocation is made to fail here instead of being attempted
+    message = (
+        "Unable to allocate 14.9 GiB for an array with shape (1000000002, 2) "
+        "and data type float64"
+    )
+
+    class FailingGenerator:
+        def normal(self, *args, **kwargs):
+            raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "replicate_rng", lambda seed, r: FailingGenerator())
+    argv = ["simulate", "--population", "heterogeneous", "--sizes", "1000000000,2", "--reps", "1"]
+    code, payload = run_cli(argv, tmp_path)
+    assert (code, payload) == (EXIT_VALIDATION, None)
+    assert not (tmp_path / "out.json").exists()
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
 
 
 def test_stdout_when_no_out_flag(csv_2x2, capsys):

@@ -102,13 +102,14 @@ def test_enumeration_guard():
         list(enumerate_assignments(sizes))
 
 
-@pytest.mark.parametrize("sizes", [(2, 2), (2, 3, 2), (3, 2, 2)])
+@pytest.mark.parametrize("sizes", [(2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2)])
 def test_enumerate_assignments_lexicographic(sizes, monkeypatch):
     # the order fixes the blocks and so the exact reports bit for bit; the
-    # default blocks hold every assignment, blocks of 1 and 4 rows do not
+    # default blocks hold every assignment, blocks of 1, 4 and 7 rows do not,
+    # so their ranges cut the prefix tree at Q = 2, 3 and 4 cells
     base = np.repeat(np.arange(len(sizes)), sizes).tolist()
     want = sorted(set(itertools.permutations(base)))
-    for rows in (BLOCK_ELEMENTS // len(base), 1, 4):
+    for rows in (BLOCK_ELEMENTS // len(base), 1, 4, 7):
         monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", rows * len(base))
         out = [tuple(a) for a in enumerate_assignments(DesignSizes(np.array(sizes)))]
         assert out == want, rows
@@ -791,9 +792,13 @@ def test_exact_reports_identical_for_any_block_size(sizes, chunk_rows, monkeypat
 
 def test_exact_matrix_forms_no_ss_or_vhat(small_population, monkeypatch):
     # exact moments of M Yhat need each assignment's cell means alone;
-    # Monte Carlo still reads every SS_z and Vhat
+    # Monte Carlo still reads every SS_z and Vhat; neither counts the cells,
+    # which a complete randomization fixes at the design's sizes
     from factorial2k import core
 
+    bincounts = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: bincounts.append(k) or bincount(*a, **k))
     passes = []
 
     def spy(*args, **kwargs):
@@ -807,8 +812,11 @@ def test_exact_matrix_forms_no_ss_or_vhat(small_population, monkeypatch):
     G = contrast_matrix(equal_scheme(2), 2).matrix
     exact_expectations(small_population, SIZES_2222, G)
     assert len(passes) == 1 and passes[0].ss is None and reads == []
+    assert len(bincounts) == 1 and "weights" in bincounts[0]
     monte_carlo(small_population, SIZES_2222, G, reps=10, seed=1)
     assert len(passes) == 2 and passes[1].ss is not None and len(reads) == 1
+    assert len(bincounts) == 3 and all("weights" in k for k in bincounts)
+    np.testing.assert_array_equal(passes[1].counts, np.tile(SIZES_2222.sizes, (10, 1)))
 
 
 def test_mean_estimated_cov_formed_once_matches_one_block(monkeypatch):
