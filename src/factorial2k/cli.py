@@ -4,16 +4,17 @@ Output is JSON-first; every run embeds its configuration, seed, and the
 package version for reproducibility.  ``analyze`` reports per-effect
 estimates, SEs, CIs and z, and regression coefficients with robust SEs; the
 two full covariance matrices are written only with ``--covariance``.  Exit
-codes: 0 ok, 1 validation error (including an unreadable input or
-unwritable output file, and a request too large for memory), 2 numerical
-failure, 3 identity/verification failure, 4 internal error (an unexpected
-exception, reported in one line).
+codes: 0 ok, 1 validation error (including a malformed command line, an
+unreadable input or unwritable output file, and a request too large for
+memory), 2 numerical failure, 3 identity/verification failure, 4 internal
+error (an unexpected exception, reported in one line).
 """
 
 import argparse
 import functools
 import json
 import os
+import stat
 import sys
 
 import numpy as np
@@ -76,12 +77,23 @@ def resolve_scheme(name, moments, K):
     raise ParseError(f"unknown scheme {name!r}")
 
 
+def _open_without_truncating(path, flags):
+    # "w" minus O_TRUNC: truncating a file that holds an old report to zero frees
+    # its blocks and can force a flush at close; writing over them does neither
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _emit(payload, out):
-    # strict JSON: a non-finite number raises ValueError rather than writing NaN
+    # strict JSON: a non-finite number raises ValueError rather than writing NaN,
+    # before the output file is opened
     text = json.dumps(payload, sort_keys=True, allow_nan=False)
     if out:
-        with open(out, "w") as fh:
+        with open(out, "w", opener=_open_without_truncating) as fh:
             fh.write(text + "\n")
+            # cut the tail of a longer old report; /dev/null, a FIFO or a terminal
+            # never held one and cannot be truncated
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     else:
         print(text)
 
@@ -239,8 +251,15 @@ def _main_parser():
     return _build_parser()
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, subparsers included, whose usage errors exit 1 like any bad input."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="factorial2k",
         description="Design-based inference for 2^K factorial experiments.",
     )
@@ -298,8 +317,8 @@ def _check_seed(args):
 
 
 def main(argv=None):
-    args = _main_parser().parse_args(argv)
     try:
+        args = _main_parser().parse_args(argv)
         if "seed" in vars(args):
             _check_seed(args)
         # below about 1.1e-16, 1 - alpha/2 rounds to 1.0, which has no Normal quantile

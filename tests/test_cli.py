@@ -2,6 +2,7 @@ import csv
 import json
 import os
 from pathlib import Path
+import stat
 import subprocess
 import sys
 
@@ -541,9 +542,7 @@ def test_simulate_exact_guard(tmp_path, capsys):
     code, payload = run_cli(args[:-1] + ["--reps", "20"], tmp_path, "c.json")
     assert code == EXIT_OK
     assert payload["report"]["mode"] == "mc"
-    with pytest.raises(SystemExit) as exc:
-        main(args + ["--allow-mc"])
-    assert exc.value.code == 2
+    assert main(args + ["--allow-mc"]) == EXIT_VALIDATION
 
 
 @pytest.mark.parametrize(
@@ -626,6 +625,85 @@ def test_emit_rejects_non_finite_numbers(tmp_path, monkeypatch, capsys):
     code, payload = run_cli(["verify", "--K", "2"], tmp_path)
     assert (code, payload) == (EXIT_VALIDATION, None)
     assert "JSON compliant" in capsys.readouterr().err
+    # the report is encoded before the file is opened, so an old one is left as it was
+    old = tmp_path / "old.json"
+    old.write_bytes(b"previous report\n")
+    assert main(["verify", "--K", "2", "--out", str(old)]) == EXIT_VALIDATION
+    assert old.read_bytes() == b"previous report\n"
+
+
+def _write_report(directory, monkeypatch):
+    # run from the file's directory, so that the --out in the report's config is
+    # the same in every directory
+    monkeypatch.chdir(directory)
+    assert main(["verify", "--K", "2", "--seed", "1", "--out", "r.json"]) == EXIT_OK
+    return (directory / "r.json").read_bytes()
+
+
+@pytest.mark.parametrize("old_size", [1, 100_000], ids=["shorter", "longer"])
+def test_out_overwrites_an_existing_file_in_place(tmp_path, monkeypatch, old_size):
+    (tmp_path / "fresh").mkdir()
+    (tmp_path / "old").mkdir()
+    fresh = _write_report(tmp_path / "fresh", monkeypatch)
+    old = tmp_path / "old" / "r.json"
+    old.write_bytes(b"x" * old_size)
+    old.chmod(0o600)
+    before = old.stat()
+    # the whole file is the report: no tail of the old bytes is left
+    assert _write_report(tmp_path / "old", monkeypatch) == fresh
+    assert json.loads(fresh)["pass"] is True
+    after = old.stat()
+    assert (after.st_ino, after.st_uid, after.st_mode) == (before.st_ino, before.st_uid, before.st_mode)
+
+
+def test_out_writes_through_a_symlink(tmp_path, monkeypatch):
+    target = tmp_path / "target.json"
+    target.write_bytes(b"x" * 100_000)
+    link = tmp_path / "r.json"
+    link.symlink_to(target)
+    report = _write_report(tmp_path, monkeypatch)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    # the target holds the report alone
+    assert json.loads(report)["pass"] is True
+
+
+def test_out_to_a_file_that_cannot_be_truncated(tmp_path):
+    assert main(["verify", "--K", "2", "--out", os.devnull]) == EXIT_OK
+
+
+def test_out_creates_a_new_file_with_the_umask_applied(tmp_path):
+    out = tmp_path / "new.json"
+    umask = os.umask(0o027)
+    try:
+        assert main(["verify", "--K", "2", "--out", str(out)]) == EXIT_OK
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["simulate", "--population", "constant", "--sizes", "2,2", "--seed", "x"], EXIT_VALIDATION),
+        (["analyze", "--input", "x.csv", "--factors", "A", "--alpha", "abc"], EXIT_VALIDATION),
+        (["analyze", "--factors", "A"], EXIT_VALIDATION),
+        (["verify", "--K", "2", "--bogus"], EXIT_VALIDATION),
+        (["simulate", "--help"], EXIT_OK),
+    ],
+    ids=["bad-int", "bad-float", "missing-required", "unknown-flag", "help"],
+)
+def test_command_line_usage_exit_codes(capsys, argv, code):
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    if code == EXIT_VALIDATION:
+        # one line, no usage block
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    else:
+        assert captured.out.startswith("usage: factorial2k simulate")
 
 
 def test_simulate_sizes_validation(tmp_path):
