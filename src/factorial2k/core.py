@@ -209,8 +209,7 @@ class CellMoments(NamedTuple):
     """Per-cell counts N_z, means Ybar_z and within-cell sums of squares SS_z.
 
     Each field has shape (Q,) for one table, or (B, Q) for a block of B
-    assignments, one row each.  ``ss`` is None when the pass stopped after
-    the means.
+    assignments, one row each.
     """
 
     counts: np.ndarray
@@ -233,7 +232,7 @@ class CellMoments(NamedTuple):
         return self.counts / self.counts.sum(axis=-1, keepdims=True)
 
 
-def _cell_moments(cells, outcomes, Q, means_only=False, counts=None):
+def _cell_moments(cells, outcomes, Q, counts=None):
     """CellMoments of each row of assignments; zeros for an empty cell.
 
     ``cells`` (indices in 0..Q-1) and ``outcomes`` have shape (N,) for one
@@ -242,9 +241,9 @@ def _cell_moments(cells, outcomes, Q, means_only=False, counts=None):
     bincount, so each row's sums run in unit order, as for that row alone.
     ``counts``, when given, are the N_z that every row shares, as in a
     complete randomization: they are not counted, and ``CellMoments.counts``
-    is a read-only broadcast of them.  With ``means_only`` the pass stops
-    after the means, with no deviations, and ``ss`` is None, so ``v_hat``
-    cannot be read.
+    is a read-only broadcast of them.  The kernel of a table's moments and
+    of a Monte Carlo block; exact enumeration carries its cell sums down the
+    assignment tree instead (``simulate._ranked``), in the same order.
     """
     cells = np.asarray(cells)
     rows = 1 if cells.ndim == 1 else cells.shape[0]
@@ -255,8 +254,6 @@ def _cell_moments(cells, outcomes, Q, means_only=False, counts=None):
         counts = np.bincount(flat, minlength=rows * Q).reshape(shape)
     means = np.bincount(flat, weights=y, minlength=rows * Q).reshape(shape) / np.maximum(counts, 1)
     counts = np.broadcast_to(counts, shape)
-    if means_only:
-        return CellMoments(counts, means, None)
     deviation = y - means.reshape(-1).take(flat)
     deviation *= deviation
     ss = np.bincount(flat, weights=deviation, minlength=rows * Q)

@@ -7,7 +7,9 @@ by enumerating every assignment, and Monte Carlo covers designs too large
 to enumerate.  Both cut an index range (lexicographic ranks or replicate
 numbers) into the same fixed chunks, each a run of blocks of assignments,
 and reduce them in one driver; an exact block holds a fixed range of ranks
-and is grown from the prefix tree of the assignments.
+and is grown from the prefix tree of the assignments.  For a moment
+estimator M Yhat the tree carries each prefix's cell sums down to the
+assignments, so an exact block is their (B, Q) cell sums, not (B, N) rows.
 """
 
 from dataclasses import dataclass
@@ -186,8 +188,10 @@ def _chunks(n, N, Q, make):
     return (blocks(range(n)[lo:lo + step]) for lo in range(0, n, step))
 
 
-def _ranked(sizes, count, ranks):
-    """(B, N) block of the assignments with the consecutive lexicographic ``ranks``.
+def _ranked(sizes, count, ranks, values=None):
+    """The assignments with the consecutive lexicographic ``ranks``: a (B, N)
+    block of rows, or with ``values`` (the N x Q potential outcomes) their
+    (B, Q) cell sums.
 
     The prefix tree of the assignments grows one position at a time:
     ``np.flatnonzero`` of the cells left to each kept prefix lists its
@@ -197,18 +201,25 @@ def _ranked(sizes, count, ranks):
     Only those two boundary prefixes are counted, in Python ints: of the c
     assignments sharing a prefix with m positions to fill, c * n_v / m put
     cell v next.  Rows of the frontier are gathered by ``take`` along axis
-    0, and the rows are read off the kept cells and parent pointers by one
-    backtracking ``take`` per position.  The cells left to each prefix are
-    int16: under ENUMERATION_GUARD no cell holds more than 4470 units.
+    0.  With ``values`` each kept prefix carries its cell sums as well, and
+    the level that places unit i adds its outcome in the chosen cell: every
+    sum starts at 0.0 and adds its units in ascending order, as a weighted
+    ``bincount`` of the rows would, so the sums are the same bit for bit.
+    Without, the rows are read off the kept cells and parent pointers by
+    one backtracking ``take`` per position.  The cells left to each prefix
+    are int16: under ENUMERATION_GUARD no cell holds more than 4470 units.
     """
-    Q = sizes.Q
+    Q, N = sizes.Q, sizes.N
     left = sizes.sizes[None, :].astype(np.int16)
     # row v takes one unit from cell v
     step = -np.eye(Q, dtype=np.int16)
     # the prefixes holding the first and the last rank: [cells left, count, offset]
     ends = [[sizes.sizes.tolist(), count, rank] for rank in (ranks[0], ranks[-1])]
     levels = []
-    for m in range(sizes.N, 0, -1):
+    sums = np.zeros((1, Q))
+    # the flat index of each row's cell 0 in the sums
+    row_start = np.arange(0, len(ranks) * Q, Q)
+    for m in range(N, 0, -1):
         child = np.flatnonzero(left)
         cut = []
         for end in ends:
@@ -227,18 +238,25 @@ def _ranked(sizes, count, ranks):
         parent, cell = np.divmod(child, Q)
         left = left.take(parent, axis=0)
         left += step.take(cell, axis=0)
-        levels.append((parent, cell))
-    out = np.empty((len(ranks), sizes.N), dtype=np.int64)
+        if values is None:
+            levels.append((parent, cell))
+        else:
+            sums = sums.take(parent, axis=0)
+            sums.ravel()[row_start[:len(cell)] + cell] += values[N - m].take(cell)
+    if values is not None:
+        return sums
+    out = np.empty((len(ranks), N), dtype=np.int64)
     row = np.arange(len(ranks))
-    for pos in range(sizes.N - 1, -1, -1):
+    for pos in range(N - 1, -1, -1):
         parent, cell = levels[pos]
         out[:, pos] = cell.take(row)
         row = parent.take(row)
     return out
 
 
-def _enumeration(sizes):
-    """Blocks of every assignment in lexicographic order, behind the guard.
+def _enumeration(sizes, values=None):
+    """Blocks of every assignment in lexicographic order, behind the guard:
+    rows, or with ``values`` cell sums (see ``_ranked``).
 
     Raises TooManyAssignmentsError above ENUMERATION_GUARD assignments,
     decided from lgamma: N! is formed only within a factor e of the guard.
@@ -251,7 +269,7 @@ def _enumeration(sizes):
             f"about 10^{log_count / math.log(10):.1f} assignments exceed the enumeration "
             f"guard of {ENUMERATION_GUARD}; drop --exact to run Monte Carlo"
         )
-    return _chunks(count, sizes.N, sizes.Q, lambda ranks: _ranked(sizes, count, ranks))
+    return _chunks(count, sizes.N, sizes.Q, lambda ranks: _ranked(sizes, count, ranks, values))
 
 
 def enumerate_assignments(sizes):
@@ -260,10 +278,10 @@ def enumerate_assignments(sizes):
     return (row for chunk in _enumeration(sizes) for block in chunk for row in block)
 
 
-def _block_evaluator(table, sizes, estimator, variances=True):
+def _block_evaluator(table, sizes, estimator, sums=False):
     """Map chunks of cell assignments to estimates; returns ``(evaluate, finish)``.
 
-    ``evaluate(chunk)`` maps a chunk, an iterable of (B, N) blocks, to
+    ``evaluate(chunk)`` maps a chunk, an iterable of blocks, to
     ``(estimates, variances, parts, failures)`` and keeps no state: one row
     of estimates and one of their variances per assignment on which the
     estimator succeeded, in order, the rows of a covariance part the driver
@@ -271,17 +289,19 @@ def _block_evaluator(table, sizes, estimator, variances=True):
     raised a package error.  ``finish`` maps the mean part to the mean
     estimated covariance.
 
-    For a matrix M each block's cell means (and Vhat) come from one pass of
-    ``core._cell_moments``, given the design's cell sizes, which every
-    assignment shares, so no block counts its cells; the chunk's rows are
-    joined, so the estimates are ``means @ M^T`` and the variances
-    ``Vhat (M o M)^T``, and the parts are the Vhat rows, so M diag(.) M^T is
-    formed once per run.  Without ``variances`` the pass stops after the
-    means (no SS_z, no Vhat) and the variances and parts are None.  Outcomes
-    are gathered by one flat ``take``.  A callable is applied to ``observe``
-    of each assignment; its covariances are summed in order into one P x P
-    part per chunk, and the variances and parts are None unless every
-    success gave one (and there was one).
+    A block is a (B, N) array of cell assignments, or for a matrix with
+    ``sums`` the (B, Q) cell sums of B assignments that exact enumeration
+    carries down its tree (``_ranked``).  For a matrix M the chunk's cell
+    means are joined, so the estimates are ``means @ M^T``.  From sums the
+    means are the sums over the design's cell sizes, which every assignment
+    shares, and the variances and parts are None.  From rows each block's
+    cell means and Vhat come from one pass of ``core._cell_moments``, given
+    those sizes, so no block counts its cells, with the outcomes gathered by
+    one flat ``take``; the variances are ``Vhat (M o M)^T`` and the parts
+    the Vhat rows, so M diag(.) M^T is formed once per run.  A callable is
+    applied to ``observe`` of each assignment; its covariances are summed in
+    order into one P x P part per chunk, and the variances and parts are
+    None unless every success gave one (and there was one).
     """
     if table.values.shape != (sizes.N, sizes.Q):
         raise ValueError(
@@ -294,16 +314,13 @@ def _block_evaluator(table, sizes, estimator, variances=True):
         offsets = np.arange(table.N) * table.Q
 
         def matrix(chunk):
+            if sums:
+                return (np.concatenate(list(chunk)) / sizes.sizes) @ M.T, None, None, 0
             moments = [
-                _cell_moments(
-                    cells, flat.take(cells + offsets), table.Q,
-                    means_only=not variances, counts=sizes.sizes,
-                )
+                _cell_moments(cells, flat.take(cells + offsets), table.Q, counts=sizes.sizes)
                 for cells in chunk
             ]
             means = np.concatenate([m.means for m in moments])
-            if not variances:
-                return means @ M.T, None, None, 0
             v = np.concatenate([m.v_hat for m in moments])
             return means @ M.T, v @ (M * M).T, v, 0
 
@@ -380,18 +397,21 @@ def exact_expectations(table, sizes, estimator):
     cell means, or a callable mapping an AssignmentTable to a flat vector.
     Assignments are enumerated in lexicographic order, in the chunks of
     ``_chunks``, fixed rank ranges cut as Monte Carlo cuts its replicate
-    numbers, each block grown from the prefix tree of the assignments: M is
-    applied to a whole chunk's cell means from one means-only pass of
-    ``core._cell_moments`` per block (no SS_z and no Vhat, which the result
-    does not use), a callable to ``observe`` of each assignment.  Above
+    numbers, each block grown from the prefix tree of the assignments.  For
+    M each block is the cell sums that the tree carries beside its prefixes,
+    so no assignment row, outcome gather, SS_z or Vhat is formed, and M is
+    applied to a whole chunk's cell means; a callable is applied to
+    ``observe`` of each assignment, its rows read back off the tree.  Above
     ENUMERATION_GUARD assignments, decided before any N! is formed, it
     raises TooManyAssignmentsError.  A callable's package errors are counted
     and reported via EstimatorFailureError: exact moments conditioned on
     success would not be exact.  (M Yhat cannot fail: each cell holds >= 2
     units.)
     """
-    evaluate, finish = _block_evaluator(table, sizes, estimator, variances=False)
-    n, failures, mean, cov, _, _ = _drive(_enumeration(sizes), evaluate, finish)
+    sums = not callable(estimator)
+    evaluate, finish = _block_evaluator(table, sizes, estimator, sums)
+    chunks = _enumeration(sizes, table.values if sums else None)
+    n, failures, mean, cov, _, _ = _drive(chunks, evaluate, finish)
     if failures:
         raise EstimatorFailureError(
             f"estimator failed on {failures} of {n + failures} assignments", failures

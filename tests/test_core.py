@@ -236,9 +236,8 @@ def test_cell_moments_block_equals_stacked_rows():
         np.testing.assert_array_equal(got, np.stack(want))
 
 
-@pytest.mark.parametrize("means_only", [False, True])
 @pytest.mark.parametrize("rows", [None, 40])
-def test_cell_moments_with_given_counts_equal_counted(means_only, rows):
+def test_cell_moments_with_given_counts_equal_counted(rows):
     # a complete randomization fixes N_z: every row of a block shares the design's counts
     rng = np.random.default_rng(7)
     sizes = np.array([2, 5, 3, 4, 2, 6, 3, 5])
@@ -246,17 +245,14 @@ def test_cell_moments_with_given_counts_equal_counted(means_only, rows):
     cells = rng.permuted(np.tile(base, (rows or 1, 1)), axis=1)
     cells = cells[0] if rows is None else cells
     outcomes = 1e6 + rng.normal(0.0, 2.0, size=cells.shape)
-    counted = _cell_moments(cells, outcomes, 8, means_only=means_only)
-    given = _cell_moments(cells, outcomes, 8, means_only=means_only, counts=sizes)
+    counted = _cell_moments(cells, outcomes, 8)
+    given = _cell_moments(cells, outcomes, 8, counts=sizes)
     assert given.counts.shape == counted.counts.shape == cells.shape[:-1] + (8,)
     assert not given.counts.flags.writeable
-    for name in ("counts", "means") if means_only else CellMoments._fields:
+    for name in CellMoments._fields:
         got, want = getattr(given, name), getattr(counted, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-    if means_only:
-        assert given.ss is None
-    else:
-        assert given.v_hat.tobytes() == counted.v_hat.tobytes()
+    assert given.v_hat.tobytes() == counted.v_hat.tobytes()
 
 
 # ingest: a plain comma-separated file takes one np.loadtxt pass (_read_plain);

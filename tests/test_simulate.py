@@ -588,15 +588,14 @@ def test_block_size_bound_for_large_n(monkeypatch):
 
 
 def test_exact_enumeration_in_blocks(small_population, monkeypatch):
-    moments = spy_calls(monkeypatch, "core", "_cell_moments")
+    blocks = spy_calls(monkeypatch, "simulate", "_ranked")
     G = np.eye(4)
     whole = exact_expectations(small_population, SIZES_2222, G)
-    assert [args[0].shape for args in moments] == [(2520, 8)]
+    assert [len(args[2]) for args in blocks] == [2520]
     monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 1000 * 8)
     blocked = exact_expectations(small_population, SIZES_2222, G)
-    assert [args[0].shape[0] for args in moments[1:]] == [1000, 1000, 520]
-    for got, want in zip(blocked, whole):
-        assert _rel(got, want) <= 1e-12
+    assert [len(args[2]) for args in blocks[1:]] == [1000, 1000, 520]
+    assert [a.tobytes() for a in blocked] == [a.tobytes() for a in whole]
 
 
 def test_monte_carlo_counts_and_drops_failed_replicates(small_population, monkeypatch):
@@ -791,9 +790,10 @@ def test_exact_reports_identical_for_any_block_size(sizes, chunk_rows, monkeypat
 
 
 def test_exact_matrix_forms_no_ss_or_vhat(small_population, monkeypatch):
-    # exact moments of M Yhat need each assignment's cell means alone;
-    # Monte Carlo still reads every SS_z and Vhat; neither counts the cells,
-    # which a complete randomization fixes at the design's sizes
+    # exact moments of M Yhat need each assignment's cell means alone, which
+    # the enumeration tree carries as cell sums: no kernel pass, no bincount;
+    # Monte Carlo still reads every SS_z and Vhat without counting the
+    # cells, which a complete randomization fixes at the design's sizes
     from factorial2k import core
 
     bincounts = []
@@ -811,12 +811,33 @@ def test_exact_matrix_forms_no_ss_or_vhat(small_population, monkeypatch):
     monkeypatch.setattr(CellMoments, "v_hat", property(lambda m: reads.append(m) or v_hat.fget(m)))
     G = contrast_matrix(equal_scheme(2), 2).matrix
     exact_expectations(small_population, SIZES_2222, G)
-    assert len(passes) == 1 and passes[0].ss is None and reads == []
-    assert len(bincounts) == 1 and "weights" in bincounts[0]
+    assert passes == [] and reads == [] and bincounts == []
     monte_carlo(small_population, SIZES_2222, G, reps=10, seed=1)
-    assert len(passes) == 2 and passes[1].ss is not None and len(reads) == 1
-    assert len(bincounts) == 3 and all("weights" in k for k in bincounts)
-    np.testing.assert_array_equal(passes[1].counts, np.tile(SIZES_2222.sizes, (10, 1)))
+    assert len(passes) == 1 and passes[0].ss is not None and len(reads) == 1
+    assert len(bincounts) == 2 and all("weights" in k for k in bincounts)
+    np.testing.assert_array_equal(passes[0].counts, np.tile(SIZES_2222.sizes, (10, 1)))
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (2, 3, 2, 3), (3, 3, 3, 3), (2, 60)])
+def test_carried_cell_sums_equal_the_kernel_means(sizes, monkeypatch):
+    # the tree starts each cell sum at 0.0 and adds its outcomes in unit
+    # order, as the kernel's bincount does, so under a 1e6 offset the means
+    # agree bit for bit.  Blocks of 1 and 7 rows start and end mid-tree; of
+    # their many ranges about 200, spread over the ranks, are checked
+    sizes = DesignSizes(np.array(sizes))
+    count = sizes.assignment_count()
+    values = 1e6 + np.random.default_rng(94).normal(size=(sizes.N, sizes.Q))
+    offsets = np.arange(sizes.N) * sizes.Q
+    for rows in (BLOCK_ELEMENTS // sizes.N, 1, 7):
+        monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", rows * sizes.N)
+        ranges = [r for chunk in simulate._chunks(count, sizes.N, sizes.Q, lambda r: r) for r in chunk]
+        assert sum(map(len, ranges)) == count
+        for ranks in ranges[::max(1, len(ranges) // 200)]:
+            cells = simulate._ranked(sizes, count, ranks)
+            outcomes = values.ravel().take(cells + offsets)
+            want = _cell_moments(cells, outcomes, sizes.Q, counts=sizes.sizes).means
+            got = simulate._ranked(sizes, count, ranks, values) / sizes.sizes
+            assert got.tobytes() == want.tobytes(), (rows, ranks[0])
 
 
 def test_mean_estimated_cov_formed_once_matches_one_block(monkeypatch):
