@@ -5,17 +5,22 @@ included interaction terms.  The saturated fit reproduces the moment
 estimator of the general effects under the product weighting scheme built
 from delta; unsaturated fits relate to the saturated coefficients through
 the omitted-term coefficient matrix (the column-wise regression of the
-omitted design columns on the included ones).  Every fit runs on the 2^K
-cell rows of the design, weighted by the cell counts, and reads the data
-only through its ``core.CellMoments``, which the kernel ``_wls`` takes
-whole (``ols_fit`` passes each unit as its own cell): the saturated rows are
-square and inverted in closed form as a Kronecker product; any other model
-takes its coefficient map from one singular value decomposition of its
-included rows, in numpy's LAPACK.  The saturated map A, the design's
+omitted design columns on the included ones): beta = J gamma with
+J = (I, D).  Every fit runs on the 2^K cell rows of the design, weighted
+by the cell counts, and reads the data only through its
+``core.CellMoments``, which the kernel ``_wls`` takes whole (``ols_fit``
+passes each unit as its own cell): the saturated rows are square and
+inverted in closed form as a Kronecker product; any other model takes its
+coefficient map from a QR factorization of its included rows and the SVD
+of R, in numpy's LAPACK.  The saturated map A, the design's
 transpose X^T and G are ``contrasts.FactorMap``s, applied in factor pairs
-and never formed.  Every dense design column comes from one builder,
-``_cell_rows``; the dense saturated map and HC0 covariance are formed only
-when they are read.
+and never formed.  The omitted-term algebra is read off two maps alone,
+the included rows' map A_+ and X^T: Phi = A_+ X_- is X^T applied to the
+block A_+^T, D drops its intercept row, and J puts the identity on the
+included columns.  ``_model_maps`` builds a model's included cell rows,
+the only dense design columns (by ``_cell_rows``), and its X^T, for
+``build_design`` and the exact covariance ordering alike; the dense
+saturated map and HC0 covariance are formed only when they are read.
 """
 
 from dataclasses import dataclass, field
@@ -111,10 +116,11 @@ def _inverse_factors(delta):
 def _cell_rows(delta, masks):
     """Cell columns prod_{k in S}(z_k - delta_k), one row per cell, one column per bitmask S.
 
-    The one builder of dense design columns; mask 0 is the intercept.  Each
-    column is multiplied by z_k - delta_k for each factor k of its subset in
-    ascending order, the products ``kron_k [[1, -delta_k], [1, 1 - delta_k]]``
-    forms, so every entry equals that dense array's bit for bit.
+    The one builder of dense design columns, called for a model's included
+    columns only; mask 0 is the intercept.  Each column is multiplied by
+    z_k - delta_k for each factor k of its subset in ascending order, the
+    products ``kron_k [[1, -delta_k], [1, 1 - delta_k]]`` forms, so every
+    entry equals that dense array's bit for bit.
     """
     K = len(delta)
     cells = (np.arange(2 ** K)[:, None] >> np.arange(K - 1, -1, -1)) & 1
@@ -126,23 +132,32 @@ def _cell_rows(delta, masks):
     return rows
 
 
-def _included(spec):
-    """The model's included cell rows, intercept first, and its included and omitted positions."""
+def _model_maps(spec):
+    """The model's included cell rows, intercept first, its included and omitted positions, and X^T.
+
+    X^T is the transposed cell-row factors as a FactorMap whose rows are the
+    intercept and the omitted columns: applied to a block it gives X_-^T
+    times the block, and its transpose applied to ``(0, gamma_-)`` gives
+    ``X_- gamma_-``; no omitted column is formed.
+    """
     included = set(spec.terms)
     is_plus = np.array([s in included for s in canonical_subsets(spec.K)])
     plus_pos, minus_pos = np.flatnonzero(is_plus), np.flatnonzero(~is_plus)
-    masks = _term_order(spec.K)[np.concatenate([[0], 1 + plus_pos])]
-    return _cell_rows(spec.delta.delta, masks), plus_pos, minus_pos
+    order, shifts = _term_order(spec.K), spec.delta.delta
+    rows = _cell_rows(shifts, order[np.concatenate([[0], 1 + plus_pos])])
+    design_t = FactorMap([F.T for F in _row_factors(shifts)], order[np.r_[0, 1 + minus_pos]])
+    return rows, plus_pos, minus_pos, design_t
 
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Included design rows x_z, one per cell; the unit-level matrix indexes them by cell."""
+    """Included design rows x_z, one per cell, and X^T; the unit-level matrix indexes the rows."""
 
     spec: ModelSpec
     included_rows: np.ndarray  # 2^K x (1 + #terms), intercept first
     included_pos: np.ndarray  # positions in the canonical term order
     omitted_pos: np.ndarray  # positions in the canonical term order
+    design_t: FactorMap  # X^T over the intercept and the omitted columns
     cell: np.ndarray  # (N,) cell index per unit
     counts: np.ndarray  # (2^K,) units per cell
 
@@ -152,10 +167,10 @@ class DesignMatrix:
 
 
 def build_design(data, spec):
-    """The model's included cell rows with each unit's cell."""
+    """The model's included cell rows and X^T with each unit's cell."""
     if data.spec.K != spec.K:
         raise ValueError("data and model disagree on the number of factors")
-    return DesignMatrix(spec, *_included(spec), data.cell, data.moments.counts)
+    return DesignMatrix(spec, *_model_maps(spec), data.cell, data.moments.counts)
 
 
 @dataclass(frozen=True)
@@ -322,12 +337,13 @@ def saturated_fit(data, delta, covariance=False):
     the Kronecker inverse ``A`` of the cell rows in factor pairs; the check
     takes G from the 3^K lift of the product joint (``effect_map``): two
     independent derivations, neither a dense Q x Q array.  The coefficients
-    must equal ``G ybar``.  The HC0 covariance ``A_1 diag(w) A_1^T`` (A_1 drops the
-    intercept row, w_z = SS_z / N_z^2) must equal ``G diag(w) G^T``: its
+    must equal ``G ybar``.  The HC0 covariance without its intercept row
+    and column (w_z = SS_z / N_z^2) must equal ``G diag(w) G^T``: its
     diagonal against ``(G o G) w``, and its product with one fixed seeded
-    probe u, ``A_1 diag(w) A_1^T u`` against ``G diag(w) G^T u``, so an
-    error off the diagonal shows as well.  The covariance identity needs
-    N_z >= 2 in every cell and is skipped (recorded as None) otherwise.
+    probe u, ``A diag(w) A^T (0, u)`` without its intercept entry against
+    ``G diag(w) G^T u``, so an error off the diagonal shows as well.  The
+    covariance identity needs N_z >= 2 in every cell and is skipped
+    (recorded as None) otherwise.
     With ``covariance`` the dense HC0 is also formed and compared with the
     dense ``G diag(w) G^T`` (``dense_cov_rel_err``).  An empty cell raises
     RankDeficientError.
@@ -338,11 +354,9 @@ def saturated_fit(data, delta, covariance=False):
     K, shifts = delta.K, delta.delta
     counts, means, ss = data.moments
     _check_saturated(counts)
-    order = _term_order(K)
     # the fit interpolates every cell mean, so RSS_z = SS_z
     w = ss / counts ** 2
-    factors = _inverse_factors(shifts)
-    A = FactorMap(factors, order)
+    A = FactorMap(_inverse_factors(shifts), _term_order(K))
     fit = FitResult(
         canonical_subsets(K),
         A(means),
@@ -359,10 +373,9 @@ def saturated_fit(data, delta, covariance=False):
     errors = [verification["coef_rel_err"]]
     if (counts >= 2).all():
         u = _probe(2 ** K - 1)
-        A_1 = FactorMap(factors, order[1:])
         verification["cov_rel_err"] = max(
             rel_err(fit.robust_var[1:], G.squared(w)),
-            rel_err(A_1(w * A_1.T(u)), G(w * G.T(u))),
+            rel_err(A(w * A.T(np.r_[0.0, u]))[1:], G(w * G.T(u))),
         )
         errors.append(verification["cov_rel_err"])
         if covariance:
@@ -407,45 +420,42 @@ class OmittedTermAlgebra:
     d: np.ndarray  # #included x #omitted
 
 
+def _phi(A_plus, design_t):
+    """Phi = A_+ X_-, intercept row first: X^T applied to the block A_+^T, transposed."""
+    return design_t(A_plus.T)[1:].T
+
+
 def omitted_algebra(design):
     """Phi and D for a given design, by count-weighted cell rows.
 
     Phi = A_+ X_- is the coefficient map A_+ of the included rows applied
-    to the omitted columns.  Needs only the included columns to have full
-    rank.  Phi is a function of the cell proportions alone, so duplicating
-    every unit keeps it.
+    to the omitted columns, read as the design's X^T applied to the block
+    A_+^T, so no omitted column is formed.  Needs only the included columns
+    to have full rank.  Phi is a function of the cell proportions alone, so
+    duplicating every unit keeps it.
     """
     if design.omitted_pos.size == 0:
         raise ValueError("model is saturated; nothing is omitted")
-    K = design.spec.K
-    omitted = _cell_rows(design.spec.delta.delta, _term_order(K)[1 + design.omitted_pos])
-    phi = _coef_map(design.included_rows, design.counts) @ omitted
+    phi = _phi(_coef_map(design.included_rows, design.counts), design.design_t)
     return OmittedTermAlgebra(phi, phi[1:, :])
 
 
-def _unsaturated_maps(spec, counts):
-    """Included term positions, ``A_+`` and ``J = A_+ X`` at fixed cell counts.
-
-    A_+ is the coefficient map of the included cell rows weighted by the
-    counts.  J applies it to every design column and drops the intercept
-    row and column: the identity on the included terms and D on the
-    omitted ones, so it maps the saturated coefficients into the
-    unsaturated ones.
-    """
-    rows, plus_pos, _ = _included(spec)
-    A_plus = _coef_map(rows, counts)
-    return plus_pos, A_plus, (A_plus @ _cell_rows(spec.delta.delta, _term_order(spec.K)))[1:, 1:]
+def _moment_map(A_plus, plus_pos, minus_pos, design_t):
+    """J = (I, D) over all canonical terms: the identity on the included columns, D on the rest."""
+    columns = np.hstack([np.eye(plus_pos.size), _phi(A_plus, design_t)[1:]])
+    # the included columns, then the omitted, put back in canonical order
+    return columns[:, np.argsort(np.r_[plus_pos, minus_pos])]
 
 
 def unsaturated_moment_map(data, spec):
-    """Selection-plus-correction matrix (I, D) over all canonical terms.
+    """Selection-plus-correction matrix J = (I, D) over all canonical terms.
 
-    J = A_+ X at the cell counts of ``data``: it maps the full saturated
-    coefficient vector into the unsaturated one.
+    D is ``omitted_algebra``'s, at the cell counts of ``data``: J maps the
+    full saturated coefficient vector into the unsaturated one.
     """
-    if data.spec.K != spec.K:
-        raise ValueError("data and model disagree on the number of factors")
-    return _unsaturated_maps(spec, data.moments.counts)[2]
+    design = build_design(data, spec)
+    A_plus = _coef_map(design.included_rows, design.counts)
+    return _moment_map(A_plus, design.included_pos, design.omitted_pos, design.design_t)
 
 
 def verify_omitted_relation(data, spec):
@@ -459,9 +469,10 @@ def verify_omitted_relation(data, spec):
     the two sufficient orthogonality conditions and the exact vanishing
     criterion ``F_+^T (F_- - mean F_-) gamma_-``, with
     ``F_+^T F_- = X_+^T diag(N_z) X_-``.  No 2^K x 2^K array is formed:
-    with ``X_t``, the map X^T restricted to the intercept and omitted rows,
-    the correction ``D gamma_-`` is ``A_+ X_t.T(gamma_-)`` and ``X^T
-    diag(N_z) X_+`` is ``X_t`` applied to the block ``diag(N_z) X_+``.  As
+    with the design's X^T over the intercept and omitted columns, the
+    correction ``D gamma_-`` is ``A_+ X^T.T((0, gamma_-))`` and ``X^T
+    diag(N_z) X_+`` is X^T applied to the block ``diag(N_z) X_+``, the same
+    two maps ``omitted_algebra`` reads Phi from.  As
     rank([F_+ F_-]) = rank(F_+) + rank(R) for the residual matrix R of F_-
     on F_+, and the full design has full rank exactly when no cell is empty,
     the empty-cell check also guards R.
@@ -471,15 +482,11 @@ def verify_omitted_relation(data, spec):
         raise ValueError("model is saturated; nothing is omitted")
     counts, means, _ = data.moments
     _check_saturated(counts)
-    shifts = spec.delta.delta
-    order = _term_order(spec.K)
-    gamma = FactorMap(_inverse_factors(shifts), order[1:])(means)
-    rows = design.included_rows
+    gamma = FactorMap(_inverse_factors(spec.delta.delta), _term_order(spec.K)[1:])(means)
+    rows, X_t = design.included_rows, design.design_t
     A_plus = _coef_map(rows, counts)
     uns_fit = _wls(A_plus, rows, data.moments, spec.terms)
     gamma_plus, gamma_minus = gamma[design.included_pos], gamma[design.omitted_pos]
-    # X^T restricted to the intercept and the omitted columns
-    X_t = FactorMap([F.T for F in _row_factors(shifts)], order[np.r_[0, 1 + design.omitted_pos]])
     correction = (A_plus @ X_t.T(np.r_[0.0, gamma_minus]))[1:]
 
     # F_+^T F_- as cell sums, and F_- centred at its count-weighted mean, whose

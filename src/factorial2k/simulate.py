@@ -27,8 +27,9 @@ from .errors import (
     TooManyAssignmentsError,
 )
 from .estimation import normal_quantile
-# unsaturated_moment_map is re-exported: J in the exact moments J G Ybar and J G V G^T J^T
-from .regression import _saturated_map, _unsaturated_maps, unsaturated_moment_map
+from .regression import IDENTITY_RTOL, _coef_map, _model_maps, _moment_map, _saturated_map
+# re-exported: J in the exact moments J G Ybar and J G V G^T J^T
+from .regression import unsaturated_moment_map
 from .weighting import product_scheme
 
 ENUMERATION_GUARD = 10 ** 7
@@ -566,17 +567,23 @@ def compare_saturated_unsaturated(table, sizes, spec):
 
     Every assignment has the same cell rows and sizes, so each model has one
     coefficient map taking the cell means to the coefficients: the saturated
-    one is the Kronecker inverse of its cell rows, the unsaturated one is
-    factored once.  The enumeration evaluates both on blocks of assignments.
-    Reports exact covariances of the included saturated and the unsaturated
-    coefficients, whether their difference is PSD, and the closed-form
-    unsaturated covariance J G (diag(S_zz/N_z) - S/N) G^T J^T from the
-    potential outcomes, with J = A_+ X.
+    one is the Kronecker inverse of its cell rows, the unsaturated one A_+ is
+    factored once, from the cell rows that ``build_design`` builds too
+    (``_model_maps``).  The enumeration evaluates both on blocks of
+    assignments.  Reports exact covariances of the included saturated and
+    the unsaturated coefficients, whether their difference is PSD (its
+    least eigenvalue at least -IDENTITY_RTOL times the largest entry of the
+    saturated covariance, so rescaling the outcomes keeps the verdict), and
+    the closed-form unsaturated covariance J G (diag(S_zz/N_z) - S/N) G^T J^T
+    from the potential outcomes, with J = (I, D) and D read off A_+ and the
+    model's X^T as in ``omitted_algebra``.
     """
     if spec.K != table.K:
         raise ValueError("population and model disagree on the number of factors")
     p = len(spec.terms)
-    included_pos, A_plus, J = _unsaturated_maps(spec, sizes.sizes)
+    rows, included_pos, omitted_pos, design_t = _model_maps(spec)
+    A_plus = _coef_map(rows, sizes.sizes)
+    J = _moment_map(A_plus, included_pos, omitted_pos, design_t)
     sat = _saturated_map(spec.delta.delta, sizes.sizes)[1:][included_pos]
     mean, cov = exact_expectations(table, sizes, np.vstack([sat, A_plus[1:]]))
     mean_sat, mean_uns = mean[:p], mean[p:]
@@ -594,5 +601,5 @@ def compare_saturated_unsaturated(table, sizes, spec):
         "cov_unsaturated": cov_uns,
         "cov_unsaturated_formula": cov_formula,
         "min_eig_difference": float(eigs.min()),
-        "psd_ordering": bool(eigs.min() >= -1e-9),
+        "psd_ordering": bool(eigs.min() >= -IDENTITY_RTOL * np.abs(cov_sat).max()),
     }

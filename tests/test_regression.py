@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -780,3 +782,52 @@ def test_verify_omitted_relation_matches_dense_oracle(K):
         np.abs(weighted_plus @ centered).max(), rel=1e-10, abs=1e-12
     )
     assert rel_err(report["exact_criterion"], weighted_plus[1:] @ centered @ gamma_minus) <= 1e-10
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5, 6, 7])
+def test_omitted_maps_match_dense_oracle(K):
+    # Phi, D and J, read off A_+ and the factor-pair X^T, against A_+ applied
+    # to the dense Kronecker cell rows: shifts at the bounds 0 and 1, unequal
+    # counts and one empty cell.  Without cell z the full rows lose only the
+    # direction X^{-1} e_z, whose full-interaction entry is +-1; that term is
+    # always omitted, so the included rows of the nonempty cells keep full rank
+    rng = np.random.default_rng(340 + K)
+    delta = _shifts_with_bounds(K, 340 + K)
+    all_terms = enumerate_subsets(K)
+    chosen = rng.choice(len(all_terms) - 1, size=rng.integers(1, len(all_terms)), replace=False)
+    spec = ModelSpec(delta, tuple(all_terms[i] for i in sorted(chosen)))
+    sizes = rng.integers(1, 5, size=2 ** K)
+    sizes[rng.integers(2 ** K)] = 0
+    data = make_dataset(K, sizes, lambda c, r: r.normal(), rng)
+    design = build_design(data, spec)
+    full = _coef_map(design.included_rows, sizes) @ dense_cell_rows(delta)
+    algebra = omitted_algebra(design)
+    J = regression.unsaturated_moment_map(data, spec)
+    assert rel_err(algebra.phi, full[:, 1 + design.omitted_pos]) <= 1e-12
+    assert rel_err(algebra.d, full[1:, 1 + design.omitted_pos]) <= 1e-12
+    assert rel_err(J, full[1:, 1:]) <= 1e-12
+    np.testing.assert_array_equal(J[:, design.included_pos], np.eye(len(spec.terms)))
+
+
+@pytest.mark.parametrize(
+    "omitted_map",
+    [
+        lambda data, spec: omitted_algebra(build_design(data, spec)),
+        lambda data, spec: regression.unsaturated_moment_map(data, spec),
+    ],
+    ids=["omitted_algebra", "unsaturated_moment_map"],
+)
+def test_omitted_maps_form_no_full_design(omitted_map):
+    # at K=10 the dense 2^K x 2^K cell rows alone take 8 MiB; Phi, D and J
+    # take X^T in factor pairs over the 2^K x 12 block A_+^T
+    K = 10
+    data = make_dataset(K, np.full(2 ** K, 2), lambda c, r: float(c % 7))
+    spec = ModelSpec(np.full(K, 0.3), tuple((k,) for k in range(K)) + ((0, 1),))
+    data.moments  # computed once and cached on the data, outside the traced region
+    tracemalloc.start()
+    try:
+        omitted_map(data, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

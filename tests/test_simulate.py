@@ -297,6 +297,21 @@ def test_compare_saturated_unsaturated_constant_effects():
     )
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4, 1e6, 1e8])
+def test_compare_saturated_unsaturated_psd_verdict_is_scale_free(scale):
+    # the ordering holds for constant effects and fails for this heterogeneous
+    # table at every outcome scale.  Against a fixed -1e-9, rounding in the
+    # constant-effects difference (-1.4e-6 at 1e4) read as a violation, and
+    # the heterogeneous table's true violation (-1.1e-14 at 1e-6) as PSD
+    rng = np.random.default_rng(63)
+    constant = make_constant_effects_population(8, rng.normal(0, 1, 8), rng.normal(0, 2, 4))
+    heterogeneous = PotentialOutcomeTable(np.random.default_rng(64).normal(size=(8, 4)))
+    for table, psd in ((constant, True), (heterogeneous, False)):
+        scaled = PotentialOutcomeTable(scale * table.values)
+        report = compare_saturated_unsaturated(scaled, SIZES_2222, additive_spec([0.4, 0.8]))
+        assert report["psd_ordering"] is psd
+
+
 def test_compare_saturated_unsaturated_solves_coefficients_only(monkeypatch):
     fits = spy_calls(monkeypatch, "regression", "ols_fit")
     rng = np.random.default_rng(64)
